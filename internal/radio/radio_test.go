@@ -1,6 +1,9 @@
 package radio
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,5 +159,47 @@ func TestGauss01Distribution(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.1 {
 		t.Errorf("gauss01 variance = %v", variance)
+	}
+}
+
+// sampleGrid is a spread of NR and LTE cells around the origin and a
+// lattice of points crossing several shadowing correlation cells,
+// including points closer than the 10 m path-loss clamp.
+func sampleGrid() ([]*cell.Cell, []geo.Point) {
+	cells := []*cell.Cell{
+		testCell("393@521310", geo.P(0, 0), 45),
+		testCell("273@387410", geo.P(-120, 80), 40),
+		testCell("371@387410", geo.P(140, -60), 40),
+		testCell("17@126270", geo.P(300, 300), 48),
+		{Ref: cell.MustRef("88@5230"), RAT: band.RATLTE, Pos: geo.P(-400, 0), TxPowerDBm: 46, NoiseDB: 1.5},
+		{Ref: cell.MustRef("88@66586"), RAT: band.RATLTE, Pos: geo.P(-400, 0), TxPowerDBm: 43, NoiseDB: 3},
+	}
+	var pts []geo.Point
+	for x := -250.0; x <= 250; x += 37.5 {
+		for y := -180.0; y <= 180; y += 45 {
+			pts = append(pts, geo.P(x, y))
+		}
+	}
+	return cells, append(pts, geo.P(1, 2), geo.P(-400, 3))
+}
+
+// TestSampleDigestPinned pins Sample's values and draw order over the
+// grid: a refactor of the median/fading split must reproduce every
+// sample to the printed precision and leave the RNG where it was.
+func TestSampleDigestPinned(t *testing.T) {
+	f := NewField(77)
+	cells, pts := sampleGrid()
+	rng := rand.New(rand.NewSource(5))
+	h := sha256.New()
+	for _, p := range pts {
+		for _, c := range cells {
+			m := f.Sample(c, p, rng)
+			fmt.Fprintf(h, "%.4f %.4f\n", m.RSRPDBm.Float(), m.RSRQDB.Float())
+		}
+	}
+	fmt.Fprintf(h, "next %d\n", rng.Int63())
+	const want = "f8286265db88b396c2a9bf19fce0da7ca4cbde49babbe603fe7778aae1151b32"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("sample digest %s, want %s", got, want)
 	}
 }
