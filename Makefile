@@ -8,15 +8,15 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
-PIPELINE_BENCH = ^Benchmark(Emit|StringParse|StreamParse|StreamParseObserved|ParseReuse|StringCorruptParse|StreamCorruptParse|StreamDetect)$$
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|Emit|StringParse|StreamParse|StreamParseObserved|ParseReuse|StringCorruptParse|StreamCorruptParse|StreamDetect)$$
 
-# Parse benchmarks whose allocs/op regressions fail bench-compare at ANY
-# growth: these parse one fixed capture, so their allocation count is
-# exactly reproducible and pins its figure with no tolerance window to
-# hide in. The corrupt-parse benchmarks stay on the normal tolerance —
-# they draw a fresh fault seed per iteration, so their allocs/op moves
-# by a count or two with b.N.
-STRICT_ALLOC_BENCH = ^Benchmark(StringParse|StreamParse|StreamParseObserved|ParseReuse)$$
+# Benchmarks whose allocs/op regressions fail bench-compare at ANY
+# growth: these simulate one fixed seed or parse one fixed capture, so
+# their allocation count is exactly reproducible and pins its figure
+# with no tolerance window to hide in. The corrupt-parse benchmarks
+# stay on the normal tolerance — they draw a fresh fault seed per
+# iteration, so their allocs/op moves by a count or two with b.N.
+STRICT_ALLOC_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|StringParse|StreamParse|StreamParseObserved|ParseReuse)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test crash-resume fuzz bench bench-baseline bench-compare clean
 

@@ -97,14 +97,48 @@ func benchRunSetup(b *testing.B) (op *policy.Operator, dep *deploy.Deployment, c
 	return
 }
 
-// BenchmarkSimulateRun measures one full 5-minute stationary run.
+// BenchmarkSimulateRun measures one full 5-minute stationary SA run at
+// the showcase S1E3 site.
 func BenchmarkSimulateRun(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
+	benchSimulate(b, uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+		Duration: 5 * time.Minute, Seed: 7})
+}
+
+// BenchmarkSimulateRunNSA is BenchmarkSimulateRun's NSA twin: one
+// 5-minute stationary run at an OPV N2E2 site.
+func BenchmarkSimulateRunNSA(b *testing.B) {
+	op := policy.OPV()
+	area, _ := deploy.AreaByID("A11")
+	dep := deploy.Build(op, area, 43)
+	var cl *deploy.Cluster
+	for _, c := range dep.Clusters {
+		if c.Arch == deploy.ArchN2E2 {
+			cl = c
+			break
+		}
+	}
+	if cl == nil {
+		b.Fatal("no N2E2 site in A11")
+	}
+	benchSimulate(b, uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
+		Duration: 5 * time.Minute, Seed: 7})
+}
+
+// benchSimulate runs cfg b.N times. Every iteration replays the same
+// seed, so allocs/op is exact and bench-compare can gate it with zero
+// tolerance; simulated minutes per second are reported beside ns/op.
+func benchSimulate(b *testing.B, cfg uesim.Config) {
+	b.Helper()
+	want := uesim.Run(cfg).Log.Len()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
-			Duration: 5 * time.Minute, Seed: int64(i)})
+		if got := uesim.Run(cfg).Log.Len(); got != want {
+			b.Fatalf("run emitted %d events, first run %d", got, want)
+		}
 	}
+	b.ReportMetric(cfg.Duration.Minutes()*float64(b.N)/b.Elapsed().Seconds(), "sim-min/s")
 }
 
 // BenchmarkEmitParse measures the signaling-log text round trip.

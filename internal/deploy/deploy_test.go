@@ -208,3 +208,24 @@ func TestSqrtApprox(t *testing.T) {
 		t.Error("nonpositive input")
 	}
 }
+
+// TestClusterRefsUnique holds the invariant the run engine's per-run
+// cell views rely on: within one cluster a Ref names exactly one cell,
+// so indexing by cell and keying by Ref agree.
+func TestClusterRefsUnique(t *testing.T) {
+	for _, op := range policy.All() {
+		for _, area := range AreasFor(op.Name) {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, cl := range Build(op, area, seed).Clusters {
+					seen := map[cell.Ref]bool{}
+					for _, c := range cl.Cells {
+						if seen[c.Ref] {
+							t.Fatalf("%s seed %d cluster %d: duplicate cell %v", area.ID, seed, cl.Index, c.Ref)
+						}
+						seen[c.Ref] = true
+					}
+				}
+			}
+		}
+	}
+}

@@ -128,6 +128,8 @@ func rsrqFromRSRP(rsrp units.DBm, noise units.DB) units.DB {
 
 // Median returns the deterministic local median measurement of c at p:
 // transmit power minus path loss minus shadowing, with the derived RSRQ.
+// It is a pure function of the field, the cell and the point, so a
+// caller may cache it for as long as all three stay the same.
 func (f *Field) Median(c *cell.Cell, p geo.Point) meas.Measurement {
 	loss := pathLossDB(units.Meters(c.Pos.Dist(p)), c.FreqMHz())
 	rsrp := c.TxPowerDBm.Add(-loss).Add(f.shadowDB(c, p))
@@ -137,7 +139,13 @@ func (f *Field) Median(c *cell.Cell, p geo.Point) meas.Measurement {
 // Sample returns one faded observation of c at p. The rng carries the
 // run's temporal randomness; spatial structure stays deterministic.
 func (f *Field) Sample(c *cell.Cell, p geo.Point, rng *rand.Rand) meas.Measurement {
-	m := f.Median(c, p)
+	return f.Fade(f.Median(c, p), c, rng)
+}
+
+// Fade applies one draw of fast fading to m, the median of c at some
+// point: Sample(c, p, rng) is Fade(Median(c, p), c, rng), with the
+// same two draws from rng in the same order.
+func (f *Field) Fade(m meas.Measurement, c *cell.Cell, rng *rand.Rand) meas.Measurement {
 	m.RSRPDBm = m.RSRPDBm.Add(f.FadeSigmaDB.Scale(rng.NormFloat64()))
 	m.RSRQDB = rsrqFromRSRP(m.RSRPDBm, c.NoiseDB).Add(units.DB(rng.NormFloat64() * 0.8))
 	m.RSRQDB = units.DB(math.Max(-30, math.Min(-5, m.RSRQDB.Float())))

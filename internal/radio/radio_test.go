@@ -203,3 +203,25 @@ func TestSampleDigestPinned(t *testing.T) {
 		t.Errorf("sample digest %s, want %s", got, want)
 	}
 }
+
+// TestFadeOfMedianMatchesSample holds the split a run engine relies on
+// to cache medians: fading a precomputed median gives exactly Sample's
+// value and consumes exactly Sample's draws.
+func TestFadeOfMedianMatchesSample(t *testing.T) {
+	f := NewField(77)
+	cells, pts := sampleGrid()
+	r1 := rand.New(rand.NewSource(11))
+	r2 := rand.New(rand.NewSource(11))
+	for _, p := range pts {
+		for _, c := range cells {
+			got := f.Fade(f.Median(c, p), c, r1)
+			want := f.Sample(c, p, r2)
+			if got != want {
+				t.Fatalf("%v at %v: Fade(Median) = %+v, Sample = %+v", c.Ref, p, got, want)
+			}
+		}
+	}
+	if a, b := r1.Int63(), r2.Int63(); a != b {
+		t.Errorf("RNG streams diverged: next draws %d vs %d", a, b)
+	}
+}

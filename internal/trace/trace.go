@@ -12,6 +12,7 @@ import (
 
 	"github.com/mssn/loopscope/internal/band"
 	"github.com/mssn/loopscope/internal/cell"
+	"github.com/mssn/loopscope/internal/meas"
 	"github.com/mssn/loopscope/internal/rrc"
 	"github.com/mssn/loopscope/internal/sig"
 	"github.com/mssn/loopscope/internal/units"
@@ -239,19 +240,22 @@ type extractor struct {
 	// lists of RRCReconfiguration.
 	scellIndex map[int]cell.Ref
 
-	// pending is the last reconfiguration awaiting its Complete.
-	pending *rrc.Reconfig
+	// pending is the last reconfiguration awaiting its Complete, held
+	// by value so buffering one allocates nothing.
+	pending    rrc.Reconfig
+	hasPending bool
 
-	// lastApplied remembers the most recently applied reconfiguration,
-	// to attribute an immediately following exception (S1E3).
-	lastApplied   *rrc.Reconfig
-	lastAppliedAt time.Duration
-	lastMod       *SCellMod
+	// lastMod remembers the SCell modification of the most recently
+	// applied reconfiguration, to attribute an immediately following
+	// exception (S1E3).
+	lastMod *SCellMod
 
 	// ON-period measurement bookkeeping for S1E1/S1E2 evidence.
-	reports     int
-	seenInRept  map[cell.Ref]bool
-	lastMeas    map[cell.Ref]rrc.MeasEntry
+	reports int
+	// lastMeas holds each cell's latest reported measurement; a cell is
+	// "seen" in this ON period exactly when it has an entry. Key and
+	// value hold no pointers, so the GC never scans the map.
+	lastMeas    map[cell.Ref]meas.Measurement
 	lastSCGFail rrc.SCGFailureCause
 	scgFailAt   time.Duration
 }
@@ -282,8 +286,7 @@ var _ sig.Sink = (*Builder)(nil)
 func NewBuilder() *Builder {
 	b := &Builder{ex: extractor{
 		scellIndex: make(map[int]cell.Ref),
-		seenInRept: make(map[cell.Ref]bool),
-		lastMeas:   make(map[cell.Ref]rrc.MeasEntry),
+		lastMeas:   make(map[cell.Ref]meas.Measurement),
 	}}
 	b.ex.push(0, cell.Idle(), newEvidence(CauseNone))
 	return b
@@ -353,14 +356,13 @@ func (ex *extractor) push(at time.Duration, s cell.Set, ev Evidence) {
 	}
 }
 
-// resetONBookkeeping clears the per-ON-period measurement state.
+// resetONBookkeeping clears the per-ON-period measurement state. The
+// maps never leave the extractor, so they are emptied in place.
 func (ex *extractor) resetONBookkeeping() {
 	ex.reports = 0
-	ex.seenInRept = make(map[cell.Ref]bool)
-	ex.lastMeas = make(map[cell.Ref]rrc.MeasEntry)
-	ex.scellIndex = make(map[int]cell.Ref)
-	ex.pending = nil
-	ex.lastApplied = nil
+	clear(ex.lastMeas)
+	clear(ex.scellIndex)
+	ex.hasPending = false
 	ex.lastMod = nil
 }
 
@@ -370,15 +372,16 @@ func (ex *extractor) releaseEvidence(kind ReleaseKind) Evidence {
 	ev.Reports = ex.reports
 	if ex.cur.MCG != nil {
 		for _, sc := range ex.cur.MCG.SCells {
-			if ex.reports > 0 && !ex.seenInRept[sc] {
+			m, seen := ex.lastMeas[sc]
+			if ex.reports > 0 && !seen {
 				ev.UnmeasuredSCells = append(ev.UnmeasuredSCells, sc)
 			}
-			if m, ok := ex.lastMeas[sc]; ok {
+			if seen {
 				// The sentinel is +Inf, so the first report always wins.
-				if m.Meas.RSRPDBm < ev.WorstSCellRSRP {
-					ev.WorstSCellRSRP = m.Meas.RSRPDBm
+				if m.RSRPDBm < ev.WorstSCellRSRP {
+					ev.WorstSCellRSRP = m.RSRPDBm
 				}
-				if m.Meas.RSRQDB <= PoorRSRQThresholdDB {
+				if m.RSRQDB <= PoorRSRQThresholdDB {
 					ev.PoorSCells = append(ev.PoorSCells, sc)
 				}
 			}
@@ -409,17 +412,16 @@ func (ex *extractor) handle(at time.Duration, m rrc.Message) {
 		s := cell.Set{MCG: cell.NewGroup(band.RATLTE, v.Cell)}
 		ex.push(at, s, newEvidence(CauseNone))
 	case rrc.Reconfig:
-		ex.pending = &v
+		ex.pending, ex.hasPending = v, true
 	case rrc.ReconfigComplete:
-		if ex.pending != nil {
-			ex.applyReconfig(at, *ex.pending)
-			ex.pending = nil
+		if ex.hasPending {
+			ex.applyReconfig(at, ex.pending)
+			ex.hasPending = false
 		}
 	case rrc.MeasReport:
 		ex.reports++
 		for _, e := range v.Entries {
-			ex.seenInRept[e.Cell] = true
-			ex.lastMeas[e.Cell] = e
+			ex.lastMeas[e.Cell] = e.Meas
 		}
 	case rrc.SCGFailureInfo:
 		ex.lastSCGFail = v.FailureType
@@ -447,7 +449,7 @@ func (ex *extractor) applyReconfig(at time.Duration, rc rrc.Reconfig) {
 		ev.HandoverFrom = next.MCG.Primary
 		ev.HandoverTo = *rc.Mobility
 		next.MCG = cell.NewGroup(next.MCG.RAT, *rc.Mobility)
-		ex.scellIndex = make(map[int]cell.Ref)
+		clear(ex.scellIndex)
 		if next.SCG != nil && !rc.KeepsSCG() {
 			ev.Kind = CauseHandoverNoSCG
 			next.SCG = nil
@@ -508,7 +510,5 @@ func (ex *extractor) applyReconfig(at time.Duration, rc rrc.Reconfig) {
 		ex.lastMod = &mod
 		ev.Mod = &mod
 	}
-	ex.lastApplied = &rc
-	ex.lastAppliedAt = at
 	ex.push(at, next, ev)
 }

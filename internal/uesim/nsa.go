@@ -35,11 +35,23 @@ type nsaEngine struct {
 	// failedPS records PSCell-change targets that already failed, used
 	// by the FastSCGRecovery mitigation.
 	failedPS map[cell.Ref]bool
+
+	// lte and nr are the cluster's LTE and NR cells in cluster order,
+	// listed once per run.
+	lte, nr []*cell.Cell
 }
 
 // runNSA drives the NSA event loop.
 func (e *engine) runNSA() {
 	n := &nsaEngine{engine: e, failedPS: map[cell.Ref]bool{}}
+	for _, c := range e.cells {
+		switch c.RAT {
+		case band.RATLTE:
+			n.lte = append(n.lte, c)
+		case band.RATNR:
+			n.nr = append(n.nr, c)
+		}
+	}
 	n.idleUntil = e.jitterDur(selectDelay, 200*time.Millisecond)
 	// The OnePlus 10 Pro uses 4G only on OPA (F5's exception): model it
 	// by never enabling NR; the run degenerates to a stable 4G session.
@@ -70,28 +82,6 @@ func (n *nsaEngine) step() {
 	}
 }
 
-// lteCells returns the cluster's LTE cells.
-func (n *nsaEngine) lteCells() []*cell.Cell {
-	var out []*cell.Cell
-	for _, c := range n.cfg.Cluster.Cells {
-		if c.RAT == band.RATLTE {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// nrCells returns the cluster's NR cells.
-func (n *nsaEngine) nrCells() []*cell.Cell {
-	var out []*cell.Cell
-	for _, c := range n.cfg.Cluster.Cells {
-		if c.RAT == band.RATNR {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // strongestLTE picks the LTE cell with the best priority-adjusted
 // sampled RSRP, skipping any in the exclusion list.
 func (n *nsaEngine) strongestLTE(exclude ...*cell.Cell) (*cell.Cell, meas.Measurement) {
@@ -99,7 +89,7 @@ func (n *nsaEngine) strongestLTE(exclude ...*cell.Cell) (*cell.Cell, meas.Measur
 	var bestM meas.Measurement
 	var bestScore units.DBm
 outer:
-	for _, c := range n.lteCells() {
+	for _, c := range n.lte {
 		for _, x := range exclude {
 			if x != nil && c.Ref == x.Ref {
 				continue outer
@@ -143,10 +133,10 @@ func (n *nsaEngine) establish() {
 // measConfig renders the operator's configured events.
 func (n *nsaEngine) measConfig() []rrc.MeasObject {
 	var nrChs, lteChs []int
-	for _, c := range n.nrCells() {
+	for _, c := range n.nr {
 		nrChs = appendUnique(nrChs, c.Channel)
 	}
-	for _, c := range n.lteCells() {
+	for _, c := range n.lte {
 		lteChs = appendUnique(lteChs, c.Channel)
 	}
 	return []rrc.MeasObject{
@@ -174,6 +164,8 @@ func (n *nsaEngine) nrMeasAllowed() bool {
 
 // reportAndDecide emits the periodic measurement report and runs the
 // network-side policy engine.
+//
+//loopvet:hot
 func (n *nsaEngine) reportAndDecide() {
 	// Fresh-configuration push when due (the "updated configuration
 	// information" of §5.3).
@@ -183,24 +175,27 @@ func (n *nsaEngine) reportAndDecide() {
 		n.needConfig = false
 	}
 
-	samples := map[cell.Ref]meas.Measurement{}
-	var entries []rrc.MeasEntry
-	add := func(c *cell.Cell, role rrc.MeasRole) {
+	clear(n.report)
+	// The log keeps every report's entries, so each report gets its
+	// own slice.
+	entries := make([]rrc.MeasEntry, 0, len(n.cells))
+	add := func(c *cell.Cell, role rrc.MeasRole) meas.Measurement {
 		m := n.sample(c)
-		samples[c.Ref] = m
+		n.record(c, m)
 		if m.Measurable() {
 			entries = append(entries, rrc.MeasEntry{Cell: c.Ref, Role: role, Meas: m})
 		}
+		return m
 	}
 	add(n.pcell, rrc.RolePCell)
-	for _, c := range n.lteCells() {
+	for _, c := range n.lte {
 		if c.Ref != n.pcell.Ref {
 			add(c, rrc.RoleCandidate)
 		}
 	}
 	sawNR := false
 	if n.nrMeasAllowed() {
-		for _, c := range n.nrCells() {
+		for _, c := range n.nr {
 			role := rrc.RoleCandidate
 			switch {
 			case n.psCell != nil && c.Ref == n.psCell.Ref:
@@ -208,8 +203,7 @@ func (n *nsaEngine) reportAndDecide() {
 			case n.scgSCell != nil && c.Ref == n.scgSCell.Ref:
 				role = rrc.RoleSCell
 			}
-			add(c, role)
-			if samples[c.Ref].Measurable() {
+			if add(c, role).Measurable() {
 				sawNR = true
 			}
 		}
@@ -232,7 +226,7 @@ func (n *nsaEngine) reportAndDecide() {
 	}
 
 	// 2. Radio link failure on the 4G PCell (N1E1).
-	if samples[n.pcell.Ref].RSRPDBm < rlfThreshRSRP {
+	if n.measOf(n.pcell).RSRPDBm < rlfThreshRSRP {
 		n.rlfStreak++
 	} else {
 		n.rlfStreak = 0
@@ -249,7 +243,7 @@ func (n *nsaEngine) reportAndDecide() {
 		// AlignHandoverPolicies mitigation removes this inconsistent
 		// preference outright (N2E1 fix).
 		if prob := n.cellOnChannel(n.cfg.Op.ProblemChannel()); prob != nil {
-			if n.cfg.Op.HandoverA3.Entered(samples[n.pcell.Ref], samples[prob.Ref]) {
+			if n.cfg.Op.HandoverA3.Entered(n.measOf(n.pcell), n.measOf(prob)) {
 				n.executeHandover(prob)
 				return
 			}
@@ -258,12 +252,12 @@ func (n *nsaEngine) reportAndDecide() {
 		// Leaving OPV's 5230 is RSRP-driven toward the mid-band cells.
 		a3 := meas.A3(meas.QuantityRSRP, 6)
 		var best *cell.Cell
-		for _, c := range n.lteCells() {
+		for _, c := range n.lte {
 			if c.Ref == n.pcell.Ref || n.problemChannel(c.Channel) {
 				continue
 			}
-			if a3.Entered(samples[n.pcell.Ref], samples[c.Ref]) &&
-				(best == nil || samples[c.Ref].RSRPDBm > samples[best.Ref].RSRPDBm) {
+			if a3.Entered(n.measOf(n.pcell), n.measOf(c)) &&
+				(best == nil || n.measOf(c).RSRPDBm > n.measOf(best).RSRPDBm) {
 				best = c
 			}
 		}
@@ -280,11 +274,11 @@ func (n *nsaEngine) reportAndDecide() {
 		anchorCh := n.cfg.Op.NRChannels[0]
 		var best *cell.Cell
 		var bestMedian units.DBm
-		for _, c := range n.nrCells() {
+		for _, c := range n.nr {
 			if c.Channel != anchorCh {
 				continue
 			}
-			m, ok := samples[c.Ref]
+			m, ok := n.reported(c)
 			if !ok || !m.Measurable() {
 				continue
 			}
@@ -310,7 +304,7 @@ func (n *nsaEngine) reportAndDecide() {
 	// the A2 threshold is released outright — even though B1 will add
 	// it right back, because Θ_B1 < Θ_A2.
 	if lg := n.cfg.Op.LegacyA2B1; lg != nil && n.psCell != nil {
-		if m, ok := samples[n.psCell.Ref]; ok && m.RSRPDBm < lg.A2ThreshRSRPDBm {
+		if m, ok := n.reported(n.psCell); ok && m.RSRPDBm < lg.A2ThreshRSRPDBm {
 			n.emit(rrc.Reconfig{Rat: band.RATLTE, Serving: n.pcell.Ref, SCGRelease: true})
 			n.emit(rrc.ReconfigComplete{Rat: band.RATLTE})
 			n.psCell, n.scgSCell = nil, nil
@@ -324,19 +318,19 @@ func (n *nsaEngine) reportAndDecide() {
 	// 5. PSCell change within the SCG (the N2E2 trigger).
 	if n.psCell != nil {
 		var cand *cell.Cell
-		for _, c := range n.nrCells() {
+		for _, c := range n.nr {
 			if c.Channel != n.psCell.Channel || c.Ref == n.psCell.Ref {
 				continue
 			}
-			m, ok := samples[c.Ref]
+			m, ok := n.reported(c)
 			if !ok || !m.Measurable() {
 				continue
 			}
 			if n.cfg.Fixes.FastSCGRecovery && n.failedPS[c.Ref] {
 				continue // do not retry a target that already failed
 			}
-			if n.cfg.Op.PSCellA3.Entered(samples[n.psCell.Ref], m) &&
-				(cand == nil || m.RSRPDBm > samples[cand.Ref].RSRPDBm) {
+			if n.cfg.Op.PSCellA3.Entered(n.measOf(n.psCell), m) &&
+				(cand == nil || m.RSRPDBm > n.measOf(cand).RSRPDBm) {
 				cand = c
 			}
 		}
@@ -356,7 +350,7 @@ func (n *nsaEngine) pcellAllows5G() bool {
 
 // samePCICell finds the cell with the PCell's PCI on another channel.
 func (n *nsaEngine) samePCICell(ch int) *cell.Cell {
-	for _, c := range n.lteCells() {
+	for _, c := range n.lte {
 		if c.Channel == ch && c.PCI == n.pcell.PCI {
 			return c
 		}
@@ -368,7 +362,7 @@ func (n *nsaEngine) samePCICell(ch int) *cell.Cell {
 func (n *nsaEngine) cellOnChannel(ch int) *cell.Cell {
 	var best *cell.Cell
 	var bestRSRP units.DBm
-	for _, c := range n.lteCells() {
+	for _, c := range n.lte {
 		if c.Channel != ch {
 			continue
 		}
@@ -433,7 +427,7 @@ func (n *nsaEngine) addSCG(ps *cell.Cell) {
 	psRef := ps.Ref
 	rc := rrc.Reconfig{Rat: band.RATLTE, Serving: n.pcell.Ref, SpCell: &psRef}
 	var partner *cell.Cell
-	for _, c := range n.nrCells() {
+	for _, c := range n.nr {
 		if c.PCI == ps.PCI && c.Channel != ps.Channel {
 			partner = c
 			break

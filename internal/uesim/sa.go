@@ -1,6 +1,8 @@
 package uesim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,22 +32,43 @@ type saEngine struct {
 	scellAddAt   time.Duration
 	nextReportAt time.Duration
 
-	missingStreak map[cell.Ref]int
-	poorStreak    map[cell.Ref]int
+	// Per-slot streaks of a serving SCell missing from reports and
+	// reported very poor; both restart with each connection.
+	missingStreak []int
+	poorStreak    []int
 
 	// failedCand records modification targets that already failed, used
 	// by the BlacklistFailedModTargets mitigation (network-side state,
 	// persists across re-establishments).
 	failedCand map[cell.Ref]bool
-	// a3Streak counts consecutive reports in which a candidate's A3
-	// condition held, for the time-to-trigger mitigation.
-	a3Streak map[cell.Ref]int
+	// a3Streak counts, per slot, consecutive reports in which a
+	// candidate's A3 condition held, for the time-to-trigger
+	// mitigation.
+	a3Streak []int
+
+	// Per-run cell views: the anchor candidates (fixed by the cluster
+	// and the device), the cluster in report order (channel, then PCI),
+	// and the scratch candidate list rebuilt in that order each report.
+	anchors    []*cell.Cell
+	byChannel  []*cell.Cell
+	candidates []*cell.Cell
 }
 
 // runSA drives the SA event loop for the configured duration.
 func (e *engine) runSA() {
+	n := len(e.cells)
 	sa := &saEngine{engine: e, indexOf: map[cell.Ref]int{}, nextIdx: 1,
-		failedCand: map[cell.Ref]bool{}, a3Streak: map[cell.Ref]int{}}
+		missingStreak: make([]int, n), poorStreak: make([]int, n),
+		failedCand: map[cell.Ref]bool{}, a3Streak: make([]int, n),
+		byChannel: slices.Clone(e.cells), candidates: make([]*cell.Cell, 0, n)}
+	sa.anchors = sa.anchorCandidates()
+	// Refs are unique within a cluster, so this order is total.
+	slices.SortFunc(sa.byChannel, func(a, b *cell.Cell) int {
+		if a.Channel != b.Channel {
+			return cmp.Compare(a.Channel, b.Channel)
+		}
+		return cmp.Compare(a.PCI, b.PCI)
+	})
 	sa.idleUntil = e.jitterDur(selectDelay, 200*time.Millisecond)
 	for e.now < e.cfg.Duration {
 		sa.step()
@@ -72,7 +95,8 @@ func (s *saEngine) step() {
 
 // anchorCandidates lists the cells this device may anchor on (PCell):
 // NR cells on anchor-capable channels respecting the device's MIMO
-// constraint, with the device band preference applied.
+// constraint, with the device band preference applied. runSA computes
+// it once per run into s.anchors.
 func (s *saEngine) anchorCandidates() []*cell.Cell {
 	var out []*cell.Cell
 	for _, c := range s.cfg.Cluster.Cells {
@@ -123,13 +147,13 @@ func (s *saEngine) establish() {
 	s.pcell = best
 	s.lastPCell = best
 	s.scells = nil
-	s.indexOf = map[cell.Ref]int{}
+	clear(s.indexOf)
 	s.nextIdx = 1
 	s.scellsAdded = false
 	s.scellAddAt = s.now + s.jitterDur(scellAddDelay, 300*time.Millisecond)
 	s.nextReportAt = s.now + reportPeriod
-	s.missingStreak = map[cell.Ref]int{}
-	s.poorStreak = map[cell.Ref]int{}
+	clear(s.missingStreak)
+	clear(s.poorStreak)
 	if !s.cfg.Device.SupportsNRCA {
 		s.scellsAdded = true // single-cell operation
 	}
@@ -143,7 +167,7 @@ func (s *saEngine) selectCell() (*cell.Cell, meas.Measurement) {
 	var best *cell.Cell
 	var bestM meas.Measurement
 	var bestScore units.DBm
-	for _, c := range s.anchorCandidates() {
+	for _, c := range s.anchors {
 		m := s.sample(c)
 		if m.RSRPDBm < s.cfg.Op.SelectThreshRSRPDBm {
 			continue
@@ -264,49 +288,38 @@ func servingChannels(pcell *cell.Cell, scells []*cell.Cell) []int {
 
 // reportAndDecide samples the environment, emits the measurement report,
 // and runs the network-side decision logic (Fig. 14's four-step cycle).
+//
+//loopvet:hot
 func (s *saEngine) reportAndDecide() {
-	samples := map[cell.Ref]meas.Measurement{}
-	var entries []rrc.MeasEntry
-
-	addEntry := func(c *cell.Cell, role rrc.MeasRole) meas.Measurement {
+	clear(s.report)
+	// The log keeps every report's entries, so each report gets its
+	// own slice.
+	entries := make([]rrc.MeasEntry, 0, len(s.cells))
+	addEntry := func(c *cell.Cell, role rrc.MeasRole) {
 		m := s.sample(c)
-		samples[c.Ref] = m
+		s.record(c, m)
 		if m.Measurable() {
 			entries = append(entries, rrc.MeasEntry{Cell: c.Ref, Role: role, Meas: m})
 		}
-		return m
 	}
 	addEntry(s.pcell, rrc.RolePCell)
 	for _, c := range s.scells {
 		addEntry(c, rrc.RoleSCell)
 	}
 	// Candidates: co-channel alternatives to serving SCells plus the
-	// other anchors. Kept as an ordered slice so the RNG consumption
+	// other anchors, in (channel, PCI) order so the RNG consumption
 	// order (and thus the whole run) is deterministic.
-	var candidates []*cell.Cell
-	seen := map[cell.Ref]bool{}
-	addCand := func(c *cell.Cell) {
-		if !seen[c.Ref] && !s.serving(c.Ref) {
-			seen[c.Ref] = true
+	candidates := s.candidates[:0]
+	for _, c := range s.byChannel {
+		if s.serving(c.Ref) {
+			continue
+		}
+		if slices.Contains(s.anchors, c) ||
+			(c.MIMOLayers >= s.cfg.Device.MinMIMOLayers && s.onSCellChannel(c.Channel)) {
 			candidates = append(candidates, c)
 		}
 	}
-	for _, sc := range s.scells {
-		for _, c := range s.cfg.Cluster.CellsOnChannel(sc.Channel) {
-			if c.Ref != sc.Ref && c.MIMOLayers >= s.cfg.Device.MinMIMOLayers {
-				addCand(c)
-			}
-		}
-	}
-	for _, c := range s.anchorCandidates() {
-		addCand(c)
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Channel != candidates[j].Channel {
-			return candidates[i].Channel < candidates[j].Channel
-		}
-		return candidates[i].PCI < candidates[j].PCI
-	})
+	s.candidates = candidates
 	for _, c := range candidates {
 		addEntry(c, rrc.RoleCandidate)
 	}
@@ -314,12 +327,13 @@ func (s *saEngine) reportAndDecide() {
 
 	// 1. S1E1 path: a serving SCell missing from reports.
 	for _, sc := range s.scells {
-		if samples[sc.Ref].Measurable() {
-			s.missingStreak[sc.Ref] = 0
+		i := s.slot(sc)
+		if m, _ := s.reported(sc); m.Measurable() {
+			s.missingStreak[i] = 0
 			continue
 		}
-		s.missingStreak[sc.Ref]++
-		if s.missingStreak[sc.Ref] >= missingReports {
+		s.missingStreak[i]++
+		if s.missingStreak[i] >= missingReports {
 			if s.cfg.Fixes.ReleaseOnlyBadApple {
 				s.releaseSCell(sc)
 				return
@@ -334,10 +348,11 @@ func (s *saEngine) reportAndDecide() {
 	// 2. S1E2 path: a serving SCell persistently reported very poor,
 	// with no corrective command in the network's logic.
 	for _, sc := range s.scells {
-		m, ok := samples[sc.Ref]
+		i := s.slot(sc)
+		m, ok := s.reported(sc)
 		if ok && m.Measurable() && m.RSRQDB <= -23 {
-			s.poorStreak[sc.Ref]++
-			if s.poorStreak[sc.Ref] >= poorReports {
+			s.poorStreak[i]++
+			if s.poorStreak[i] >= poorReports {
 				if s.cfg.Fixes.ReleaseOnlyBadApple {
 					s.releaseSCell(sc)
 					return
@@ -347,13 +362,13 @@ func (s *saEngine) reportAndDecide() {
 				return
 			}
 		} else if ok {
-			s.poorStreak[sc.Ref] = 0
+			s.poorStreak[i] = 0
 		}
 	}
 	// 3. S1E3 path: A3 — a co-channel candidate looks offset-better
 	// than a serving SCell, so the network commands a modification.
 	for _, sc := range s.scells {
-		servM, ok := samples[sc.Ref]
+		servM, ok := s.reported(sc)
 		if !ok || !servM.Measurable() {
 			continue
 		}
@@ -366,7 +381,7 @@ func (s *saEngine) reportAndDecide() {
 			if s.cfg.Fixes.BlacklistFailedModTargets && s.failedCand[c.Ref] {
 				continue
 			}
-			m, ok := samples[c.Ref]
+			m, ok := s.reported(c)
 			if !ok || !m.Measurable() {
 				continue
 			}
@@ -376,23 +391,34 @@ func (s *saEngine) reportAndDecide() {
 		}
 		if bestCand == nil || !s.cfg.Op.SCellA3.Entered(servM, bestM) {
 			if bestCand != nil {
-				s.a3Streak[bestCand.Ref] = 0
+				s.a3Streak[s.slot(bestCand)] = 0
 			}
 			continue
 		}
 		// Time-to-trigger (mitigation): the condition must persist for
 		// k consecutive reports, filtering out fading flukes.
 		if ttt := s.cfg.Fixes.A3TimeToTriggerReports; ttt > 0 {
-			s.a3Streak[bestCand.Ref]++
-			if s.a3Streak[bestCand.Ref] < ttt {
+			i := s.slot(bestCand)
+			s.a3Streak[i]++
+			if s.a3Streak[i] < ttt {
 				continue
 			}
-			s.a3Streak[bestCand.Ref] = 0
+			s.a3Streak[i] = 0
 		}
 		if s.modifySCell(sc, bestCand) {
 			return // state changed (success or exception); re-evaluate next report
 		}
 	}
+}
+
+// onSCellChannel reports whether a serving SCell uses channel ch.
+func (s *saEngine) onSCellChannel(ch int) bool {
+	for _, c := range s.scells {
+		if c.Channel == ch {
+			return true
+		}
+	}
+	return false
 }
 
 // serving reports whether a ref is the PCell or an SCell.
@@ -442,8 +468,8 @@ func (s *saEngine) modifySCell(old, new_ *cell.Cell) bool {
 				s.scells[i] = new_
 			}
 		}
-		delete(s.missingStreak, old.Ref)
-		delete(s.poorStreak, old.Ref)
+		i := s.slot(old)
+		s.missingStreak[i], s.poorStreak[i] = 0, 0
 		return true
 	}
 	s.failedCand[new_.Ref] = true
@@ -466,8 +492,8 @@ func (s *saEngine) releaseSCell(bad *cell.Cell) {
 	})
 	s.emit(rrc.ReconfigComplete{Rat: band.RATNR})
 	delete(s.indexOf, bad.Ref)
-	delete(s.missingStreak, bad.Ref)
-	delete(s.poorStreak, bad.Ref)
+	i := s.slot(bad)
+	s.missingStreak[i], s.poorStreak[i] = 0, 0
 	for i, c := range s.scells {
 		if c.Ref == bad.Ref {
 			s.scells = append(s.scells[:i], s.scells[i+1:]...)

@@ -180,12 +180,16 @@ func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(cfg.Cluster.Cells)
 	e := &engine{
-		cfg:  cfg,
-		ctx:  ctx,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		sink: sink,
-		last: -1,
+		cfg:    cfg,
+		ctx:    ctx,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		sink:   sink,
+		last:   -1,
+		cells:  cfg.Cluster.Cells,
+		med:    make([]slotMeas, n),
+		report: make([]slotMeas, n),
 	}
 	defer func() {
 		p := recover()
@@ -240,6 +244,56 @@ type engine struct {
 	now     time.Duration
 	last    time.Duration // timestamp of the last emitted event, -1 when none
 	emitted int64         // events delivered to the sink
+
+	// Per-run views of the cluster. A cell's slot is its index in
+	// cells (Cluster.Cells). Field and Cluster are shared by the
+	// concurrent runs of a study, so every cache lives here, owned by
+	// this run, and never on them.
+	cells []*cell.Cell
+	// med memoises Field.Median per slot at the position medAt; it is
+	// emptied whenever the UE is somewhere else. Median is pure, so the
+	// memo changes no value and no RNG draw.
+	medAt geo.Point
+	med   []slotMeas
+	// report holds the samples of the measurement report being built,
+	// per slot; it is emptied at the start of every report.
+	report []slotMeas
+}
+
+// slotMeas is one cell's measurement in a per-slot table; ok is false
+// for an empty slot.
+type slotMeas struct {
+	m  meas.Measurement
+	ok bool
+}
+
+// slot returns c's index in the cluster. Every cell the engine handles
+// comes from the cluster, so a miss is an engine bug.
+func (e *engine) slot(c *cell.Cell) int {
+	for i, cc := range e.cells {
+		if cc == c {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("uesim: cell %v is not in the run's cluster", c.Ref))
+}
+
+// record keeps c's sample for the current report.
+func (e *engine) record(c *cell.Cell, m meas.Measurement) {
+	e.report[e.slot(c)] = slotMeas{m, true}
+}
+
+// reported returns c's sample in the current report, and whether it
+// was sampled; an unsampled cell reads as the zero measurement.
+func (e *engine) reported(c *cell.Cell) (meas.Measurement, bool) {
+	r := e.report[e.slot(c)]
+	return r.m, r.ok
+}
+
+// measOf is reported without the flag.
+func (e *engine) measOf(c *cell.Cell) meas.Measurement {
+	m, _ := e.reported(c)
+	return m
 }
 
 // emit appends a message at the current simulated time and advances the
@@ -281,15 +335,29 @@ func (e *engine) pos() geo.Point {
 	return cur // path exhausted: the walker stands at the last waypoint
 }
 
-// sample draws one faded measurement of a cell at the UE position.
+// sample draws one faded measurement of a cell at the UE position:
+// Field.Sample with the median taken from the memo.
+//
+//loopvet:hot
 func (e *engine) sample(c *cell.Cell) meas.Measurement {
-	return e.cfg.Field.Sample(c, e.pos(), e.rng)
+	return e.cfg.Field.Fade(e.median(c), c, e.rng)
 }
 
 // median returns the deterministic local median of a cell at the UE
-// position.
+// position, computing it at most once per cell and position.
+//
+//loopvet:hot
 func (e *engine) median(c *cell.Cell) meas.Measurement {
-	return e.cfg.Field.Median(c, e.pos())
+	p := e.pos()
+	if p != e.medAt {
+		clear(e.med)
+		e.medAt = p
+	}
+	i := e.slot(c)
+	if !e.med[i].ok {
+		e.med[i] = slotMeas{e.cfg.Field.Median(c, p), true}
+	}
+	return e.med[i].m
 }
 
 // jitterDur perturbs a duration by ±spread.
