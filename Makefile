@@ -8,15 +8,16 @@ STATICCHECK_VERSION ?= 2024.1.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
 # Pipeline benchmarks recorded by bench-baseline into BENCH_pipeline.json.
-PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|Emit|StringParse|StreamParse|StreamParseObserved|ParseReuse|StringCorruptParse|StreamCorruptParse|StreamDetect)$$
+PIPELINE_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|Emit|StringParse|StreamParse|StreamParseObserved|ParseReuse|Corrupt|StringCorruptParse|StreamCorruptParse|StreamDetect)$$
 
 # Benchmarks whose allocs/op regressions fail bench-compare at ANY
-# growth: these simulate one fixed seed or parse one fixed capture, so
-# their allocation count is exactly reproducible and pins its figure
-# with no tolerance window to hide in. The corrupt-parse benchmarks
+# growth: these simulate one fixed seed, parse one fixed capture or
+# corrupt it with one fixed fault seed, so their allocation count is
+# exactly reproducible and pins its figure with no tolerance window to
+# hide in. The corrupt-parse benchmarks
 # stay on the normal tolerance — they draw a fresh fault seed per
 # iteration, so their allocs/op moves by a count or two with b.N.
-STRICT_ALLOC_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|StringParse|StreamParse|StreamParseObserved|ParseReuse)$$
+STRICT_ALLOC_BENCH = ^Benchmark(SimulateRun|SimulateRunNSA|StringParse|StreamParse|StreamParseObserved|ParseReuse|Corrupt)$$
 
 .PHONY: all build lint loopvet loopvet-stats staticcheck vulncheck test crash-resume fuzz bench bench-baseline bench-compare clean
 
@@ -72,6 +73,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzStreamParity$$ -fuzztime=$(FUZZTIME) ./internal/sig
 	$(GO) test -run=NONE -fuzz=FuzzParseBytes$$ -fuzztime=$(FUZZTIME) ./internal/sig
 	$(GO) test -run=NONE -fuzz=FuzzStreamDetectParity$$ -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=NONE -fuzz=FuzzAppendFloat1$$ -fuzztime=$(FUZZTIME) ./internal/sig
+	$(GO) test -run=NONE -fuzz=FuzzHeaderTime$$ -fuzztime=$(FUZZTIME) ./internal/faults
 
 # bench is the smoke run CI performs: every benchmark compiles and
 # executes once; full-study benchmarks skip themselves under -short.

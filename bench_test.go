@@ -260,6 +260,23 @@ func BenchmarkParseReuse(b *testing.B) {
 	}
 }
 
+// BenchmarkCorrupt measures the fault injector alone: the fixed capture
+// streamed through one fixed-seed injector at the robustness profile.
+// The seed never changes, so allocs/op is exact.
+func BenchmarkCorrupt(b *testing.B) {
+	text := benchLog(b).String()
+	rates := faults.Profile(0.05)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inj := faults.New(7919, rates)
+		if _, err := io.Copy(io.Discard, inj.Reader(strings.NewReader(text))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStringCorruptParse: the pre-streaming fault path — emit to a
 // string, corrupt the whole string, lenient-reparse.
 func BenchmarkStringCorruptParse(b *testing.B) {

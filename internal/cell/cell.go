@@ -163,6 +163,35 @@ func (g *Group) Contains(r Ref) bool {
 	return false
 }
 
+// equal reports whether g and o have the same RAT, the same primary and
+// the same SCells as a multiset, so addition order does not matter —
+// exactly when their keys are equal.
+func (g *Group) equal(o *Group) bool {
+	if g == nil || o == nil {
+		return g == o
+	}
+	if g.RAT != o.RAT || g.Primary != o.Primary || len(g.SCells) != len(o.SCells) {
+		return false
+	}
+	for _, r := range g.SCells {
+		if countRef(g.SCells, r) != countRef(o.SCells, r) {
+			return false
+		}
+	}
+	return true
+}
+
+// countRef counts the occurrences of r in refs.
+func countRef(refs []Ref, r Ref) int {
+	n := 0
+	for _, x := range refs {
+		if x == r {
+			n++
+		}
+	}
+	return n
+}
+
 // key renders a canonical representation with sorted SCells, so that two
 // groups with the same members compare equal regardless of addition
 // order.
@@ -291,5 +320,6 @@ func (s Set) String() string {
 	return b.String()
 }
 
-// Equal reports whether two sets have identical membership and roles.
-func (s Set) Equal(o Set) bool { return s.Key() == o.Key() }
+// Equal reports whether two sets have identical membership and roles:
+// the same answer as comparing Keys, without building them.
+func (s Set) Equal(o Set) bool { return s.MCG.equal(o.MCG) && s.SCG.equal(o.SCG) }

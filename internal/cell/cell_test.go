@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -252,5 +253,82 @@ func TestDeriveCGIStable(t *testing.T) {
 	}
 	if DeriveNCI(r).CellID() != 393 {
 		t.Errorf("cell ID should carry the PCI: %d", DeriveNCI(r).CellID())
+	}
+}
+
+// randGroup draws a group from a small universe so that equal groups,
+// repeated SCells and a primary among the SCells all occur often; one
+// draw in five is nil, and RAT 0 and 3 exercise unnamed RATs.
+func randGroup(rng *rand.Rand) *Group {
+	if rng.Intn(5) == 0 {
+		return nil
+	}
+	ref := func() Ref { return Ref{PCI: rng.Intn(3), Channel: rng.Intn(2)} }
+	g := &Group{RAT: band.RAT(rng.Intn(4)), Primary: ref()}
+	for n := rng.Intn(4); n > 0; n-- {
+		g.SCells = append(g.SCells, ref())
+	}
+	return g
+}
+
+// perturb returns a copy of g with its SCells shuffled and, one time
+// in three, one field changed or one SCell duplicated over another.
+func perturb(rng *rand.Rand, g *Group) *Group {
+	c := g.Clone()
+	if c == nil {
+		return nil
+	}
+	rng.Shuffle(len(c.SCells), func(i, j int) { c.SCells[i], c.SCells[j] = c.SCells[j], c.SCells[i] })
+	if rng.Intn(3) == 0 {
+		switch rng.Intn(4) {
+		case 0:
+			c.Primary.PCI++
+		case 1:
+			c.RAT++
+		case 2:
+			c.SCells = append(c.SCells, Ref{PCI: rng.Intn(3)})
+		default: // same length, often the same members: only the counts move
+			if len(c.SCells) >= 2 {
+				c.SCells[0] = c.SCells[1]
+			}
+		}
+	}
+	return c
+}
+
+// TestSetEqualMatchesKey: the structural Equal agrees with comparing
+// the canonical Keys on random sets, nil groups and duplicate SCells
+// included.
+func TestSetEqualMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	equal := 0
+	for i := 0; i < 20000; i++ {
+		a := Set{MCG: randGroup(rng), SCG: randGroup(rng)}
+		b := Set{MCG: randGroup(rng), SCG: randGroup(rng)}
+		if rng.Intn(2) == 0 {
+			b = Set{MCG: perturb(rng, a.MCG), SCG: perturb(rng, a.SCG)}
+		}
+		want := a.Key() == b.Key()
+		if got := a.Equal(b); got != want {
+			t.Fatalf("Equal(%s, %s) = %v, Key comparison says %v", a.Key(), b.Key(), got, want)
+		}
+		if want {
+			equal++
+		}
+	}
+	if equal < 2000 {
+		t.Errorf("only %d of 20000 pairs were equal; the property barely ran", equal)
+	}
+}
+
+// TestSetEqualAllocatesNothing guards the point of the structural
+// comparison: the trace extractor calls Equal on every step.
+func TestSetEqualAllocatesNothing(t *testing.T) {
+	a := Set{MCG: &Group{RAT: band.RATNR, Primary: MustRef("393@521310"),
+		SCells: []Ref{MustRef("273@387410"), MustRef("393@501390")}}}
+	b := a.Clone()
+	b.MCG.SCells[0], b.MCG.SCells[1] = b.MCG.SCells[1], b.MCG.SCells[0]
+	if n := testing.AllocsPerRun(100, func() { a.Equal(b) }); n != 0 {
+		t.Errorf("Equal allocated %v times per call, want 0", n)
 	}
 }

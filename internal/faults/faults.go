@@ -15,9 +15,12 @@ package faults
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"github.com/mssn/loopscope/internal/obs"
 )
@@ -199,20 +202,88 @@ func (b *block) setTime(t time.Duration) {
 }
 
 // headerTime recognizes the "HH:MM:SS.mmm " prefix of an event header.
+// The token before the first space is read as fmt.Sscanf's
+// "%d:%d:%d.%d" reads it: white space (but not a newline) may precede
+// each field, a field is an optional sign and at least one ASCII digit
+// whose value fits an int, the separators must follow the digits
+// directly, and bytes after the last field are ignored — so
+// "12:34:56.7x9" parses with ms = 7.
+//
+//loopvet:hot
 func headerTime(line string) (time.Duration, bool) {
 	sp := strings.IndexByte(line, ' ')
-	if sp <= 0 || strings.HasPrefix(line, " ") {
+	if sp <= 0 {
 		return 0, false
 	}
-	var h, m, s, ms int
-	if n, err := fmt.Sscanf(line[:sp], "%d:%d:%d.%d", &h, &m, &s, &ms); err != nil || n != 4 {
-		return 0, false
+	tok := line[:sp]
+	var f [4]int
+	i := 0
+	for k := range f {
+		if k > 0 {
+			if i == len(tok) || tok[i] != clockSeps[k-1] {
+				return 0, false
+			}
+			i++
+		}
+		var ok bool
+		if f[k], i, ok = scanClockField(tok, i); !ok {
+			return 0, false
+		}
 	}
-	if h < 0 || m < 0 || m > 59 || s < 0 || s > 59 || ms < 0 || ms > 999 {
+	h, m, s, ms := f[0], f[1], f[2], f[3]
+	if m > 59 || s > 59 || ms > 999 {
 		return 0, false
 	}
 	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute +
 		time.Duration(s)*time.Second + time.Duration(ms)*time.Millisecond, true
+}
+
+// clockSeps are the literals between the four clock fields.
+const clockSeps = "::."
+
+// scanClockField reads one %d field of the header clock starting at
+// tok[i] and returns its value and the index after its last digit. It
+// fails where Sscanf would (a newline in the leading white space, no
+// digits, a value beyond int) and also on negative values, which no
+// clock field accepts; "-0" is zero.
+func scanClockField(tok string, i int) (v, next int, ok bool) {
+	for i < len(tok) {
+		c := tok[i]
+		if c == '\n' {
+			return 0, 0, false
+		}
+		if c < utf8.RuneSelf {
+			if c != ' ' && (c < '\t' || c > '\r') {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(tok[i:])
+		if !unicode.IsSpace(r) { // the same set as fmt's scanner
+			break
+		}
+		i += w
+	}
+	neg := false
+	if i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
+		neg = tok[i] == '-'
+		i++
+	}
+	start := i
+	var u uint64
+	over := false
+	for ; i < len(tok) && tok[i] >= '0' && tok[i] <= '9'; i++ {
+		if u > (1<<63)/10 {
+			over = true
+			continue
+		}
+		u = u*10 + uint64(tok[i]-'0')
+	}
+	if i == start || over || u > math.MaxInt || neg && u != 0 {
+		return 0, 0, false
+	}
+	return int(u), i, true
 }
 
 // formatClock renders a duration as the HH:MM:SS.mmm log clock.

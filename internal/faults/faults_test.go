@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -154,4 +155,88 @@ func firstHeaderTime(text string) time.Duration {
 		}
 	}
 	return -1
+}
+
+// headerTimeSscanf is the original fmt.Sscanf reading of the header
+// clock, kept as the oracle headerTime must agree with.
+func headerTimeSscanf(line string) (time.Duration, bool) {
+	sp := strings.IndexByte(line, ' ')
+	if sp <= 0 || strings.HasPrefix(line, " ") {
+		return 0, false
+	}
+	var h, m, s, ms int
+	if n, err := fmt.Sscanf(line[:sp], "%d:%d:%d.%d", &h, &m, &s, &ms); err != nil || n != 4 {
+		return 0, false
+	}
+	if h < 0 || m < 0 || m > 59 || s < 0 || s > 59 || ms < 0 || ms > 999 {
+		return 0, false
+	}
+	return time.Duration(h)*time.Hour + time.Duration(m)*time.Minute +
+		time.Duration(s)*time.Second + time.Duration(ms)*time.Millisecond, true
+}
+
+// headerTimeSeeds are the header shapes where a hand-written clock
+// scanner can drift from Sscanf: signs, leading white space (tab,
+// NBSP, other Unicode spaces, newlines), overflowing digit runs,
+// trailing bytes after the last field and garbled separators.
+var headerTimeSeeds = []string{
+	"00:00:00.800 NR5G RRC OTA Packet -- BCCH_BCH / MIB",
+	"12:34:56.7x9 LTE RRC OTA Packet -- UL_DCCH / MeasurementReport",
+	"+1:2:3.4 SYS -- EXCEPTION",
+	"-0:-0:+0.-0 x",
+	"-1:00:00.000 x",
+	"\t01:02:03.004 x",
+	"\u00a001:02:03.004 x",
+	"01:\u300002:\r03.\v004 x",
+	"01:02:03.\n004 x",
+	"01:02:03.\r\n004 x",
+	"01 :02:03.004 x",
+	"99999999999999999999:00:00.000 x",
+	"00000000000000000000001:00:00.000 x",
+	"9223372036854775807:59:59.999 x",
+	"9223372036854775808:00:00.000 x",
+	"-9223372036854775808:00:00.000 x",
+	"00:60:00.000 x",
+	"00:00:00.1000 x",
+	"00:00:00. x",
+	"00:00:00 x",
+	"0x:00:00.000 x",
+	"0q:1?:#0.00f x",
+	"0\xff:00:00.000 x",
+	"\xc2:00:00.000 x",
+	" 00:00:01.000 x",
+	"00:00:01.000",
+	"modem heartbeat ok seq=10421",
+	"",
+}
+
+// TestHeaderTimeMatchesSscanf checks the byte-level clock scanner
+// against the Sscanf oracle on the seed shapes and on every line of
+// the fixed capture.
+func TestHeaderTimeMatchesSscanf(t *testing.T) {
+	lines := append([]string(nil), headerTimeSeeds...)
+	lines = append(lines, strings.Split(sample(), "\n")...)
+	lines = append(lines, foreignLines...)
+	for _, line := range lines {
+		checkHeaderTime(t, line)
+	}
+}
+
+func checkHeaderTime(t *testing.T, line string) {
+	t.Helper()
+	got, gotOK := headerTime(line)
+	want, wantOK := headerTimeSscanf(line)
+	if got != want || gotOK != wantOK {
+		t.Fatalf("headerTime(%q) = %v, %v; Sscanf oracle says %v, %v", line, got, gotOK, want, wantOK)
+	}
+}
+
+// FuzzHeaderTime is the differential fuzzer for the header clock: on
+// any line, headerTime and the Sscanf oracle agree on acceptance and
+// on the parsed time.
+func FuzzHeaderTime(f *testing.F) {
+	for _, s := range headerTimeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(checkHeaderTime)
 }

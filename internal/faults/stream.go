@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -18,11 +19,23 @@ import (
 const restartHazard = 1.0 / 8
 
 // truncateHold bounds the bytes held back when Truncate is enabled: the
-// truncation point is only known at EOF, so the reader delays at most
-// this much output. Captures larger than twice this bound may truncate
-// slightly later than the whole-string algorithm would (the cut is
-// clamped to the held window); the cut still lands in the second half.
+// truncation point is only known at EOF, so only the last truncateHold
+// bytes produced can still be cut. Captures larger than twice this
+// bound may truncate slightly later than the whole-string algorithm
+// would (the cut is clamped to the held window); the cut still lands in
+// the second half.
 const truncateHold = 1 << 20
+
+// holdPool recycles hold buffers across readers. A 5-minute run's
+// capture is about 150 KB, so without it every faulted run grows a
+// fresh buffer by doubling. Buffers are pooled only up to the 2×truncateHold spill
+// threshold, so a huge final line is never pinned.
+var holdPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 128<<10)
+		return &b
+	},
+}
 
 // Reader wraps r with the injector's fault profile: records are
 // corrupted as they flow through, so a multi-MiB capture is never
@@ -36,6 +49,8 @@ func (in *Injector) Reader(r io.Reader) io.Reader {
 	cr := &corruptReader{in: in, br: bufio.NewReaderSize(r, 32*1024)}
 	if in.rates.Truncate > 0 {
 		cr.holding = true
+		cr.pooled = holdPool.Get().(*[]byte)
+		cr.hold = (*cr.pooled)[:0]
 	}
 	return cr
 }
@@ -70,24 +85,42 @@ type corruptReader struct {
 	wroteLine bool // separator bookkeeping: a '\n' precedes every line but the first
 	outTotal  int  // total corrupted bytes produced (pre-truncation)
 	hold      []byte
-	holding   bool // Truncate enabled: route output through hold
-	serve     []byte
+	holding   bool    // Truncate enabled: route output through hold
+	pooled    *[]byte // hold's pool slot, returned once the output is drained
+	serve     []byte  // output ready for Read; serve[served:] is still unread
+	served    int
 	done      bool
 }
 
 func (cr *corruptReader) Read(p []byte) (int, error) {
-	for len(cr.serve) == 0 && !cr.done {
+	for cr.served == len(cr.serve) && !cr.done {
+		cr.serve, cr.served = cr.serve[:0], 0
 		cr.step()
 	}
-	if len(cr.serve) == 0 {
+	if cr.served == len(cr.serve) {
+		cr.serve, cr.served = nil, 0
+		cr.release()
 		if cr.srcErr != nil {
 			return 0, cr.srcErr
 		}
 		return 0, io.EOF
 	}
-	n := copy(p, cr.serve)
-	cr.serve = cr.serve[n:]
+	n := copy(p, cr.serve[cr.served:])
+	cr.served += n
 	return n, nil
+}
+
+// release returns the hold buffer to the pool once nothing can still
+// read from it.
+func (cr *corruptReader) release() {
+	if cr.pooled == nil {
+		return
+	}
+	if cap(cr.hold) <= 2*truncateHold {
+		*cr.pooled = cr.hold[:0]
+		holdPool.Put(cr.pooled)
+	}
+	cr.pooled, cr.hold = nil, nil
 }
 
 // step consumes one input line (or finalizes at EOF), possibly
@@ -229,6 +262,8 @@ func (cr *corruptReader) emitBlock(b block) {
 
 // emitLines is the line-level stage: per line, an optional interleaved
 // foreign record, then drop / duplicate / garble.
+//
+//loopvet:hot
 func (cr *corruptReader) emitLines(b block) {
 	for _, line := range b.lines {
 		if cr.in.roll(cr.in.rates.Interleave) {
@@ -281,13 +316,17 @@ func (cr *corruptReader) writeBytes(s string) {
 	}
 }
 
-// spillHold keeps the hold-back window bounded: bytes beyond the
-// truncation window can never be cut and are served immediately.
+// spillHold keeps the hold-back buffer bounded: bytes before the last
+// truncateHold can never be cut, so once the buffer reaches twice the
+// window they move to serve in one bulk copy. Spilling per line instead
+// would move the whole window on every line written.
 func (cr *corruptReader) spillHold() {
-	if excess := len(cr.hold) - truncateHold; excess > 0 {
-		cr.serve = append(cr.serve, cr.hold[:excess]...)
-		cr.hold = append(cr.hold[:0], cr.hold[excess:]...)
+	if len(cr.hold) < 2*truncateHold {
+		return
 	}
+	excess := len(cr.hold) - truncateHold
+	cr.serve = append(cr.serve, cr.hold[:excess]...)
+	cr.hold = cr.hold[:copy(cr.hold, cr.hold[excess:])]
 }
 
 // finish flushes assembly state at EOF and applies the trailing-newline
@@ -311,13 +350,20 @@ func (cr *corruptReader) finish() {
 	if cr.in.roll(cr.in.rates.Truncate) && cr.outTotal > 1 {
 		cr.in.count("faults.truncate")
 		cut := cr.outTotal/2 + cr.in.rng.Intn(cr.outTotal-cr.outTotal/2)
-		if drop := cr.outTotal - cut; drop > 0 {
-			if drop > len(cr.hold) {
-				drop = len(cr.hold) // cut clamped to the held window
-			}
-			cr.hold = cr.hold[:len(cr.hold)-drop]
-		}
+		// The cut is clamped to the held window: the last truncateHold
+		// bytes, or all of hold when less was written.
+		drop := min(cr.outTotal-cut, len(cr.hold), truncateHold)
+		cr.hold = cr.hold[:len(cr.hold)-drop]
+	}
+	if !cr.holding {
+		return
+	}
+	if cr.served == len(cr.serve) {
+		// Serve the held bytes in place; Read releases the buffer
+		// once it has drained them.
+		cr.serve, cr.served = cr.hold, 0
+		return
 	}
 	cr.serve = append(cr.serve, cr.hold...)
-	cr.hold = nil
+	cr.release()
 }

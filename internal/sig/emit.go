@@ -3,6 +3,7 @@ package sig
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -176,9 +177,47 @@ func appendPadded(b []byte, v int64, width int) []byte {
 	return strconv.AppendInt(b, v, 10)
 }
 
-// appendFloat1 renders a float the way fmt's %.1f does.
+// float1Exact bounds the magnitudes appendFloat1 formats itself: below
+// 2^50, ten times the 53-bit mantissa fits a uint64 and the rounded
+// tenths fit an int64.
+const float1Exact = 1 << 50
+
+// appendFloat1 renders a float exactly the way fmt's %.1f (and
+// strconv's 'f', 1) does, without strconv's arbitrary-precision path:
+// the float is mant·2^e, so round-half-even(10·v) is one shift of
+// 10·mant plus a remainder compare. The sign bit is kept, so -0.04
+// prints "-0.0". NaN, ±Inf and magnitudes from 2^50 up go to strconv.
+//
+//loopvet:hot
 func appendFloat1(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'f', 1, 64)
+	if math.IsNaN(v) || math.Abs(v) >= float1Exact { // ±Inf is huge too
+		return strconv.AppendFloat(b, v, 'f', 1, 64)
+	}
+	bits := math.Float64bits(v)
+	mant := bits & (1<<52 - 1)
+	shift := uint(1075) // -e for mant·2^e
+	if exp := uint(bits>>52) & 0x7ff; exp == 0 {
+		shift = 1074 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+		shift -= exp
+	}
+	// |v| < 2^50 puts shift at 3 or more. From 58 up, 10·v < 2^57·2^-58
+	// is below one half and rounds to zero.
+	var q uint64
+	if shift < 58 {
+		x := 10 * mant
+		q = x >> shift
+		rem, half := x&(1<<shift-1), uint64(1)<<(shift-1)
+		if rem > half || rem == half && q&1 == 1 {
+			q++
+		}
+	}
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, q/10, 10)
+	return append(b, '.', byte('0'+q%10))
 }
 
 // appendDetails renders the message-specific indented lines.

@@ -963,6 +963,12 @@ func (p *parser) buildMeasReport(details [][]byte) (rrc.Message, error) {
 				break
 			}
 		}
+		if m.Entries == nil {
+			// Sized once on the first entry: a report without
+			// measResult lines keeps nil Entries, and every report
+			// gets its own array because the Log keeps it.
+			m.Entries = make([]rrc.MeasEntry, 0, len(details))
+		}
 		m.Entries = append(m.Entries, entry)
 	}
 	return m, nil
