@@ -150,10 +150,17 @@ func BenchmarkEmitParse(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sig.Parse(strings.NewReader(text)); err != nil {
+		if err := benchParse(strings.NewReader(text), sig.ParseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchParse is the parse step of the parse benchmarks: ParseTo into a
+// fresh Log sized as Parse sizes its own.
+func benchParse(r io.Reader, opts sig.ParseOptions) error {
+	_, err := sig.ParseTo(r, &sig.Log{Events: make([]sig.Event, 0, 256)}, opts)
+	return err
 }
 
 // benchLog simulates one showcase run for the emit/parse benchmarks.
@@ -184,7 +191,7 @@ func BenchmarkStringParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sig.ParseString(log.String()); err != nil {
+		if err := benchParse(strings.NewReader(log.String()), sig.ParseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +215,7 @@ func BenchmarkStreamParse(b *testing.B) {
 			}
 			pw.CloseWithError(em.Close())
 		}()
-		if _, err := sig.Parse(pr); err != nil {
+		if err := benchParse(pr, sig.ParseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,7 +241,7 @@ func BenchmarkStreamParseObserved(b *testing.B) {
 			}
 			pw.CloseWithError(em.Close())
 		}()
-		if _, err := sig.ParseObserved(pr, reg); err != nil {
+		if err := benchParse(pr, sig.ParseOptions{Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +261,7 @@ func BenchmarkParseReuse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rd.Reset(data)
-		if _, err := sig.Parse(rd); err != nil {
+		if err := benchParse(rd, sig.ParseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +293,7 @@ func BenchmarkStringCorruptParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inj := faults.New(int64(i), rates)
-		if _, _, err := sig.ParseLenientString(inj.Corrupt(log.String())); err != nil {
+		if err := benchParse(strings.NewReader(inj.Corrupt(log.String())), sig.ParseOptions{Lenient: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -311,7 +318,7 @@ func BenchmarkStreamCorruptParse(b *testing.B) {
 			}
 			pw.CloseWithError(em.Close())
 		}()
-		if _, _, err := sig.ParseLenient(inj.Reader(pr)); err != nil {
+		if err := benchParse(inj.Reader(pr), sig.ParseOptions{Lenient: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +331,7 @@ func BenchmarkExtract(b *testing.B) {
 		Duration: 5 * time.Minute, Seed: 7})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.Extract(res.Log)
+		trace.FromLog(res.Log)
 	}
 }
 
@@ -333,7 +340,7 @@ func BenchmarkDetectClassify(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
 	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 5 * time.Minute, Seed: 7})
-	tl := trace.Extract(res.Log)
+	tl := trace.FromLog(res.Log)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.Analyze(tl)
@@ -348,7 +355,7 @@ func BenchmarkStreamDetect(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
 	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 5 * time.Minute, Seed: 7})
-	tl := trace.Extract(res.Log)
+	tl := trace.FromLog(res.Log)
 	want := len(core.DetectAll(tl))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -368,7 +375,7 @@ func BenchmarkThroughput(b *testing.B) {
 	op, dep, cl := benchRunSetup(b)
 	res := uesim.Run(uesim.Config{Op: op, Field: dep.Field, Cluster: cl,
 		Duration: 5 * time.Minute, Seed: 7})
-	tl := trace.Extract(res.Log)
+	tl := trace.FromLog(res.Log)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		throughput.Generate(tl, op, int64(i))

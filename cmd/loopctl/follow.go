@@ -87,7 +87,7 @@ func (a *app) follow(path string) error {
 	tb := loopscope.NewTimelineBuilder()
 	tb.TeeSteps(sd.Push)
 	endParse := a.span(obs.StageParse)
-	_, sal, err := loopscope.ParseLogLenientObservedTee(r, a.collector(), tb)
+	sal, err := loopscope.ParseLogTo(r, tb, loopscope.ParseOptions{Lenient: true, Metrics: a.collector()})
 	endParse()
 	if err != nil {
 		return err

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +146,66 @@ func TestFollowStdin(t *testing.T) {
 	events := decodeFollowEvents(t, &out)
 	if len(events) < 2 || events[len(events)-1].Event != "eof" {
 		t.Fatalf("unexpected event stream: %+v", events)
+	}
+}
+
+// heapSampler is a capture reader that samples the live heap as the
+// parse consumes it: every step bytes it forces a GC and records
+// HeapAlloc, so peak is the largest live heap seen mid-parse.
+type heapSampler struct {
+	r          io.Reader
+	step, next int64
+	read       int64
+	peak       uint64
+}
+
+func (h *heapSampler) Read(p []byte) (int, error) {
+	n, err := h.r.Read(p)
+	h.read += int64(n)
+	if h.read >= h.next {
+		h.next += h.step
+		if live := liveHeap(); live > h.peak {
+			h.peak = live
+		}
+	}
+	return n, err
+}
+
+// liveHeap returns HeapAlloc right after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFollowHeapStaysFlat: a live tail holds the timeline and the
+// detector's window, never the parsed events, so its heap stays far
+// below the size of the capture it has read. A follower that retained
+// every event would grow by more than half the input here.
+func TestFollowHeapStaysFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parses a 10 MiB capture")
+	}
+	data, err := os.ReadFile(capturePath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 10 << 20
+	input := bytes.Repeat(data, size/len(data)+1)
+	base := liveHeap()
+	src := &heapSampler{r: bytes.NewReader(input), step: 512 << 10}
+	var errOut bytes.Buffer
+	if code := run([]string{"-follow", "analyze", "-"}, src, io.Discard, &errOut); code != 0 {
+		t.Fatalf("exit = %d; stderr: %s", code, errOut.String())
+	}
+	var growth uint64
+	if src.peak > base {
+		growth = src.peak - base
+	}
+	if limit := uint64(len(input) / 8); growth > limit {
+		t.Errorf("live heap grew %.1f MiB while following a %.1f MiB capture, want under %.1f MiB",
+			float64(growth)/(1<<20), float64(len(input))/(1<<20), float64(limit)/(1<<20))
 	}
 }
 

@@ -225,23 +225,18 @@ func (a *app) analyze(path string) error {
 		defer f.Close()
 		r = f
 	}
-	if a.lenient {
-		endParse := a.span(obs.StageParse)
-		log, sal, err := loopscope.ParseLogLenientObserved(r, a.collector())
-		endParse()
-		if err != nil {
-			return err
-		}
-		a.reportWithSalvage(log, sal)
-		return nil
-	}
+	log := &loopscope.Log{}
 	endParse := a.span(obs.StageParse)
-	log, err := loopscope.ParseLogObserved(r, a.collector())
+	sal, err := loopscope.ParseLogTo(r, log, loopscope.ParseOptions{Lenient: a.lenient, Metrics: a.collector()})
 	endParse()
 	if err != nil {
 		return err
 	}
-	a.report(log)
+	if a.lenient {
+		a.reportWithSalvage(log, sal)
+	} else {
+		a.report(log)
+	}
 	return nil
 }
 

@@ -53,10 +53,12 @@ type Options struct {
 	// Fig. 1b/11; off by default to keep memory flat).
 	KeepSpeeds bool
 	// FaultRates, when non-nil, routes every run's capture through a
-	// seeded faults.Injector and the salvage pipeline: the emitted log
-	// is corrupted, re-parsed with sig.ParseLenient and analyzed from
-	// whatever survived, mirroring how real damaged captures are
-	// ingested. Each record carries its Salvage report.
+	// seeded faults.Injector and the salvage pipeline: the run is
+	// emitted as capture text, corrupted in flight and re-parsed with a
+	// lenient sig.ParseTo into the same timeline builder a clean run
+	// feeds, so it is analyzed from whatever survived, mirroring how
+	// real damaged captures are ingested. Each record carries its
+	// Salvage report.
 	FaultRates *faults.Rates
 	// MaxRetries bounds the retries of a failed run (default
 	// DefaultMaxRetries; negative disables retries).
@@ -436,11 +438,7 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 			rec.Err = fmt.Sprint(p)
 			rec.Stack = string(debug.Stack())
 			rec.FailKind = FailPanic
-			rec.Timeline = nil
-			rec.Analysis = core.Analysis{}
-			rec.Speeds = nil
-			rec.MeasCount = 0
-			rec.Salvage = nil
+			rec.clearOutputs()
 			if c := opts.Metrics; c != nil {
 				c.Add("campaign.panics", 1)
 				c.Add("campaign.panics"+metricLabel(op.Name, dep.Area.ID), 1)
@@ -469,18 +467,20 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 		Seed:     seed,
 		Metrics:  opts.Metrics,
 	}
-	var log *sig.Log
-	var tb *trace.Builder
-	var sd *core.StreamDetector
+	// Every run feeds one sink, whatever its event source: extraction
+	// folds events into the timeline as they arrive, so no event log is
+	// ever materialized and clean and faulted records share every line
+	// from Finish onward.
+	sink := &runSink{tb: trace.NewBuilder()}
 	var abort error
 	if opts.FaultRates != nil {
 		// Stream the run end-to-end: the simulator emits into a pipe,
 		// the injector corrupts records in flight, and lenient parsing
-		// consumes the other end — the capture text is never
-		// materialized. A simulator panic is ferried back and re-raised
-		// here so the failure-record machinery above still sees it; a
-		// context abort is ferried the same way and the pipe is closed
-		// with its error so the parser unblocks.
+		// consumes the other end into the run sink — the capture text is
+		// never materialized. A simulator panic is ferried back and
+		// re-raised here so the failure-record machinery above still
+		// sees it; a context abort is ferried the same way and the pipe
+		// is closed with its error so the parser unblocks.
 		// The simulate and parse spans overlap by construction: the
 		// emitter blocks on the pipe while the parser drains it, so
 		// each span measures its stage's wall-clock window, not
@@ -507,19 +507,8 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 			endSim()
 			pw.CloseWithError(em.Close())
 		}()
-		// The parser tees every kept event into a trace.Builder as it is
-		// parsed, so extraction runs fused with the parse stage and the
-		// StageExtract span below only measures Finish (see
-		// docs/OBSERVABILITY.md). The builder in turn tees every timeline
-		// step into a StreamDetector, so loop detection also runs during
-		// the parse pass; the StageDetect span below measures only the
-		// flush that finalizes forms. The unbounded horizon keeps the
-		// record provably identical to core.Analyze (see core.StreamDetector).
-		tb = trace.NewBuilder()
-		sd = core.NewStreamDetector(core.StreamConfig{Metrics: opts.Metrics})
-		tb.TeeSteps(sd.Push)
 		endParse := startStage(opts.Metrics, obs.StageParse)
-		salvaged, sal, err := sig.ParseLenientObservedTee(inj.Reader(pr), opts.Metrics, tb)
+		sal, err := sig.ParseTo(inj.Reader(pr), sink, sig.ParseOptions{Lenient: true, Metrics: opts.Metrics})
 		endParse()
 		if p, ok := <-panicked; ok {
 			panic(p)
@@ -531,55 +520,56 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 				panic(err) // pipe error without a writer panic; recovered above
 			}
 		}
-		log = salvaged
 		rec.Salvage = normalizeSalvage(sal)
 	} else {
 		endSim := startStage(opts.Metrics, obs.StageSimulate)
-		collected := &sig.Log{Events: make([]sig.Event, 0, 4096)}
-		abort = uesim.RunToContext(ctx, cfg, collected)
+		abort = uesim.RunToContext(ctx, cfg, sink)
 		endSim()
-		log = collected
 	}
 	if abort != nil {
 		rec.Err = abort.Error()
 		rec.FailKind = failKindFor(abort, parent, opts.RunTimeout > 0)
-		rec.Timeline = nil
-		rec.Analysis = core.Analysis{}
-		rec.Speeds = nil
-		rec.MeasCount = 0
-		rec.Salvage = nil
+		rec.clearOutputs()
 		return rec
 	}
 	endExtract := startStage(opts.Metrics, obs.StageExtract)
-	var tl *trace.Timeline
-	if tb != nil {
-		tl = tb.Finish()
-	} else {
-		tl = trace.FromLog(log)
-	}
+	tl := sink.tb.Finish()
 	endExtract()
 	rec.Timeline = tl
 	endDetect := startStage(opts.Metrics, obs.StageDetect)
-	if sd != nil {
-		// Streamed path: detection already ran alongside the parse; the
-		// flush finalizes open-loop forms and re-attaches the records to
-		// the finished timeline, byte-identical to core.Analyze(tl).
-		rec.Analysis = sd.FinishAnalysis(tl)
-	} else {
-		rec.Analysis = core.Analyze(tl)
-	}
+	rec.Analysis = core.Analyze(tl)
 	endDetect()
 	endAnalyze := startStage(opts.Metrics, obs.StageAnalyze)
-	for _, e := range log.Events {
-		if mr, ok := e.Msg.(rrc.MeasReport); ok {
-			rec.MeasCount += len(mr.Entries)
-		}
-	}
+	rec.MeasCount = sink.meas
 	if opts.KeepSpeeds {
 		rec.Speeds = throughput.Generate(tl, op, seed+1)
 	}
 	endAnalyze()
 	return rec
+}
+
+// runSink is what a run's events feed, clean or faulted: the timeline
+// builder, plus the count of measurement-report entries the record
+// carries as MeasCount.
+type runSink struct {
+	tb   *trace.Builder
+	meas int
+}
+
+// Append implements sig.Sink.
+//
+//loopvet:hot
+func (s *runSink) Append(at time.Duration, m rrc.Message) {
+	if mr, ok := m.(rrc.MeasReport); ok {
+		s.meas += len(mr.Entries)
+	}
+	s.tb.Append(at, m)
+}
+
+// clearOutputs drops whatever a failed attempt produced, so a failure
+// record carries only its identity and failure fields.
+func (r *Record) clearOutputs() {
+	r.Timeline, r.Analysis, r.Speeds, r.MeasCount, r.Salvage = nil, core.Analysis{}, nil, 0, nil
 }
 
 // normalizeSalvage flattens each quarantine cause to a plain

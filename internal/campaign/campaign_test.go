@@ -542,30 +542,3 @@ func TestRunAreaWithFaultInjection(t *testing.T) {
 		t.Errorf("salvage kept %d/%d recognized records — implausibly low", kept, total)
 	}
 }
-
-// TestFusedDetectionMatchesBatch: faulted runs detect loops during the
-// parse pass via the teed stream detector; every record's analysis must
-// be exactly what the batch pipeline computes on the same timeline.
-func TestFusedDetectionMatchesBatch(t *testing.T) {
-	op := policy.OPA()
-	spec := deploy.AreasFor("OPA")[0]
-	opts := smallOpts()
-	opts.RunScale = 0.25
-	rates := faults.Profile(0.05)
-	opts.FaultRates = &rates
-	res := RunArea(op, spec, opts)
-	checked := 0
-	for _, rec := range res.Records {
-		if rec.Err != "" || rec.Timeline == nil {
-			continue
-		}
-		if !reflect.DeepEqual(rec.Analysis, core.Analyze(rec.Timeline)) {
-			t.Fatalf("loc %d run %d: streamed analysis diverges from core.Analyze",
-				rec.LocIndex, rec.RunIndex)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no completed records to check")
-	}
-}

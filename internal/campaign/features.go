@@ -166,7 +166,7 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 				Duration: opts.Duration,
 				Seed:     opts.Seed*99991 + int64(gi)*613 + int64(ri)*31 + 7,
 			})
-			tl := trace.Extract(res.Log)
+			tl := trace.FromLog(res.Log)
 			a := core.Analyze(tl)
 			if a.HasLoop() {
 				_, st := a.Primary()

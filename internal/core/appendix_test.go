@@ -28,7 +28,7 @@ func meas(refStr string, role rrc.MeasRole, rsrp units.DBm, rsrq units.DB) rrc.M
 // classifyLog runs the full pipeline over a log.
 func classifyLog(t *testing.T, l *sig.Log) (Subtype, *Loop) {
 	t.Helper()
-	tl := trace.Extract(l)
+	tl := trace.FromLog(l)
 	loop, ok := Detect(tl)
 	if !ok {
 		for i, s := range tl.Steps {

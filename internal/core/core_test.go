@@ -47,7 +47,7 @@ func s1e3Timeline(cycles int) *trace.Timeline {
 	for i := 0; i < cycles; i++ {
 		base = appendS1E3Cycle(l, base)
 	}
-	return trace.Extract(l)
+	return trace.FromLog(l)
 }
 
 func TestDetectPersistentLoop(t *testing.T) {
@@ -76,7 +76,7 @@ func TestDetectNoLoop(t *testing.T) {
 	l.Append(at(1000), rrc.Reconfig{Rat: band.RATNR, Serving: ref("393@521310"),
 		AddSCells: []rrc.SCellEntry{{Index: 1, Cell: ref("273@398410")}}})
 	l.Append(at(1010), rrc.ReconfigComplete{Rat: band.RATNR})
-	tl := trace.Extract(l)
+	tl := trace.FromLog(l)
 	if _, ok := Detect(tl); ok {
 		t.Error("stable run misdetected as loop")
 	}
@@ -100,7 +100,7 @@ func TestDetectSemiPersistent(t *testing.T) {
 	l.Append(at(base+30000), rrc.MeasReport{Rat: band.RATNR, Entries: []rrc.MeasEntry{
 		{Cell: ref("104@501390"), Role: rrc.RolePCell, Meas: measpkg.Measurement{RSRPDBm: -80, RSRQDB: -10.5}},
 	}})
-	tl := trace.Extract(l)
+	tl := trace.FromLog(l)
 	loop, ok := Detect(tl)
 	if !ok {
 		t.Fatal("no loop detected")
@@ -183,7 +183,7 @@ func nsaTimeline(trigger string, cycles int) *trace.Timeline {
 	for i := 0; i < cycles; i++ {
 		base = nsaCycle(l, base, trigger)
 	}
-	return trace.Extract(l)
+	return trace.FromLog(l)
 }
 
 func TestClassifyNSATypes(t *testing.T) {
@@ -233,7 +233,7 @@ func TestClassifyS1E1AndS1E2(t *testing.T) {
 			l.Append(at(base+7000), rrc.Release{Rat: band.RATNR})
 			base += 17000
 		}
-		return trace.Extract(l)
+		return trace.FromLog(l)
 	}
 	loop, ok := Detect(build(false))
 	if !ok {
@@ -277,7 +277,7 @@ func TestAnalyze(t *testing.T) {
 	if l == nil || st != S1E3 {
 		t.Errorf("Primary = %v, %v", l, st)
 	}
-	empty := Analyze(trace.Extract(&sig.Log{}))
+	empty := Analyze(trace.FromLog(&sig.Log{}))
 	if empty.HasLoop() {
 		t.Error("empty log has no loops")
 	}

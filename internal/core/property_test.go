@@ -62,7 +62,7 @@ func TestDetectionInvariants(t *testing.T) {
 	f := func(seed int64, nRaw uint8, tail bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%5) + 1 // 1..5 cycles
-		tl := trace.Extract(randomSALog(rng, n, tail))
+		tl := trace.FromLog(randomSALog(rng, n, tail))
 		loop, found := Detect(tl)
 		if n == 1 {
 			return !found
@@ -116,7 +116,7 @@ func TestClassificationTotal(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%4) + 2
-		tl := trace.Extract(randomSALog(rng, n, false))
+		tl := trace.FromLog(randomSALog(rng, n, false))
 		loop, found := Detect(tl)
 		if !found {
 			return false
@@ -157,7 +157,7 @@ func TestDetectAllNonOverlapping(t *testing.T) {
 		l.Append(at(base+4000), rrc.Release{Rat: band.RATNR})
 		base += 12000
 	}
-	tl := trace.Extract(l)
+	tl := trace.FromLog(l)
 	loops := DetectAll(tl)
 	prevEnd := 0
 	for _, lp := range loops {
@@ -173,7 +173,7 @@ func TestDetectAllNonOverlapping(t *testing.T) {
 func TestDetectStableUnderPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bare := randomSALog(rng, 3, false)
-	tlBare := trace.Extract(bare)
+	tlBare := trace.FromLog(bare)
 	loopBare, ok := Detect(tlBare)
 	if !ok {
 		t.Fatal("bare log must loop")
@@ -187,7 +187,7 @@ func TestDetectStableUnderPrefix(t *testing.T) {
 	for _, e := range bare.Events {
 		withPrefix.Append(e.At+6*time.Second, e.Msg)
 	}
-	loopPref, ok := Detect(trace.Extract(withPrefix))
+	loopPref, ok := Detect(trace.FromLog(withPrefix))
 	if !ok {
 		t.Fatal("prefixed log must loop")
 	}

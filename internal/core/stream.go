@@ -248,12 +248,6 @@ func (d *StreamDetector) Flush(duration time.Duration) []StreamLoop {
 // is complete once Flush has run.
 func (d *StreamDetector) Loops() []StreamLoop { return d.loops }
 
-// FinishAnalysis flushes at the timeline's duration and returns the
-// Analysis that Analyze(tl) computes on the same complete timeline.
-func (d *StreamDetector) FinishAnalysis(tl *trace.Timeline) Analysis {
-	return AttachAnalysis(d.Flush(tl.Duration), tl)
-}
-
 // Steps returns how many steps have been pushed.
 func (d *StreamDetector) Steps() int { return d.n }
 

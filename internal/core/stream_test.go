@@ -130,11 +130,11 @@ func TestStreamGoldenReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			log, _, err := sig.ParseLenient(f)
-			if err != nil {
-				t.Fatalf("ParseLenient: %v", err)
+			tb := trace.NewBuilder()
+			if _, err := sig.ParseTo(f, tb, sig.ParseOptions{Lenient: true}); err != nil {
+				t.Fatalf("ParseTo: %v", err)
 			}
-			tl := trace.FromLog(log)
+			tl := tb.Finish()
 			if got, want := renderAnalysis(AttachAnalysis(streamLoops(tl, 0), tl)),
 				renderAnalysis(Analyze(tl)); got != want {
 				t.Fatalf("stream replay diverges from Analyze\nbatch:\n%s\nstream:\n%s", want, got)
@@ -336,7 +336,7 @@ func TestStreamViaBuilderTee(t *testing.T) {
 		tb.Append(e.At, e.Msg)
 	}
 	tl := tb.Finish()
-	got := sd.FinishAnalysis(tl)
+	got := AttachAnalysis(sd.Flush(tl.Duration), tl)
 	want := Analyze(tl)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("teed stream analysis diverges from batch\nbatch:\n%s\nstream:\n%s",

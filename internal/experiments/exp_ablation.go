@@ -61,7 +61,7 @@ func StickinessAblation(c *Context) *Result {
 				Seed:                c.Opts.Seed*23 + int64(i),
 				NoCampingStickiness: disable,
 			})
-			a := core.Analyze(trace.Extract(res.Log))
+			a := core.Analyze(trace.FromLog(res.Log))
 			if !a.HasLoop() {
 				none++
 				continue

@@ -40,7 +40,7 @@ func AppsExperiment(c *Context) *Result {
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*17 + int64(i),
 			})
-			tl := trace.Extract(res.Log)
+			tl := trace.FromLog(res.Log)
 			if core.Analyze(tl).HasLoop() {
 				loops++
 			}

@@ -47,7 +47,7 @@ func F12Regression(c *Context) *Result {
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*51 + int64(i),
 			})
-			a := core.Analyze(trace.Extract(res.Log))
+			a := core.Analyze(trace.FromLog(res.Log))
 			if a.HasLoop() {
 				loops++
 			}
@@ -94,7 +94,7 @@ func WalkExperiment(c *Context) *Result {
 			Duration:     walkDur,
 			Seed:         c.Opts.Seed*77 + 3 + int64(run),
 		})
-		tl := trace.Extract(res.Log)
+		tl := trace.FromLog(res.Log)
 		segDur := walkDur / time.Duration(segs)
 		for _, s := range tl.Steps {
 			if s.Evidence.Kind == trace.CauseNone {

@@ -29,7 +29,7 @@ func MitigationStudy(c *Context) *Result {
 				Seed:     c.Opts.Seed*91 + int64(i),
 				Fixes:    fixes,
 			})
-			a := core.Analyze(trace.Extract(res.Log))
+			a := core.Analyze(trace.FromLog(res.Log))
 			for li, loop := range a.Loops {
 				if !want(a.Subtypes[li]) {
 					continue

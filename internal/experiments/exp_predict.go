@@ -167,7 +167,7 @@ func usageTransect(c *Context) (pgaps, usages []float64) {
 				Duration: 90 * time.Second,
 				Seed:     c.Opts.Seed*271 + int64(i)*37 + int64(ri),
 			})
-			tl := trace.Extract(res.Log)
+			tl := trace.FromLog(res.Log)
 			for _, s := range tl.Steps {
 				if s.Set.MCG != nil {
 					if s.Set.MCG.Primary.PCI == targetPCI {

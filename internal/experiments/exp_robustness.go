@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"time"
 
 	"github.com/mssn/loopscope/internal/campaign"
@@ -30,10 +31,10 @@ var robustnessRates = []struct {
 
 // Robustness measures how loop detection degrades as captures rot:
 // clean runs define the ground truth (loop / no loop per run), then the
-// same captures are corrupted at increasing fault rates, salvaged with
-// sig.ParseLenient and re-analyzed. Recall and precision against the
-// clean verdicts quantify graceful degradation on the paper's detection
-// task.
+// same captures are corrupted at increasing fault rates, salvaged by a
+// lenient sig.ParseTo into a timeline builder and re-analyzed. Recall
+// and precision against the clean verdicts quantify graceful
+// degradation on the paper's detection task.
 func Robustness(c *Context) *Result {
 	r := &Result{ID: "robustness", Title: "Loop detection under capture corruption"}
 
@@ -98,13 +99,14 @@ func Robustness(c *Context) *Result {
 		keptEvents, totalEvents := 0, 0
 		for _, ru := range runs {
 			inj := faults.New(ru.seed*31+int64(rr.rate*1000), faults.Profile(rr.rate))
-			log, sal, err := sig.ParseLenientString(inj.Corrupt(ru.text))
+			tb := trace.NewBuilder()
+			sal, err := sig.ParseTo(strings.NewReader(inj.Corrupt(ru.text)), tb, sig.ParseOptions{Lenient: true})
 			if err != nil {
 				continue // unreachable for string input
 			}
 			keptEvents += sal.EventsKept
 			totalEvents += sal.EventsKept + sal.RecordsDropped
-			detected := core.Analyze(trace.FromLog(log)).HasLoop()
+			detected := core.Analyze(tb.Finish()).HasLoop()
 			switch {
 			case detected && ru.truth:
 				tp++

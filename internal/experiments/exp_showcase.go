@@ -28,7 +28,7 @@ func showcaseRun(c *Context) (*trace.Timeline, []throughput.Sample, *deploy.Depl
 		Duration: 420 * time.Second,
 		Seed:     c.Opts.Seed*31 + 5,
 	})
-	tl := trace.Extract(res.Log)
+	tl := trace.FromLog(res.Log)
 	speeds := throughput.Generate(tl, op, c.Opts.Seed*31+6)
 	return tl, speeds, dep, cl
 }

@@ -103,11 +103,30 @@ func eventsEquivalent(a, b *Log) bool {
 	return equalValueNaN(reflect.ValueOf(a.Events), reflect.ValueOf(b.Events))
 }
 
+// parseLog is ParseTo into a fresh Log, shaped like refParse so the
+// two parsers compare directly.
+func parseLog(r io.Reader, lenient bool, c obs.Collector) (*Log, *Salvage, error) {
+	log := &Log{Events: make([]Event, 0, 256)}
+	sal, err := ParseTo(r, log, ParseOptions{Lenient: lenient, Metrics: c})
+	if err != nil {
+		return nil, nil, err
+	}
+	return log, sal, nil
+}
+
+// parseString is Parse over a string.
+func parseString(s string) (*Log, error) { return Parse(strings.NewReader(s)) }
+
+// parseLenientString is a lenient parseLog over a string.
+func parseLenientString(s string) (*Log, *Salvage, error) {
+	return parseLog(strings.NewReader(s), true, nil)
+}
+
 // requireByteRefParity parses input with both parsers in the given mode
 // and fails the test on any divergence in events, salvage or error.
 func requireByteRefParity(t *testing.T, input string, lenient bool) {
 	t.Helper()
-	gotLog, gotSal, gotErr := parse(strings.NewReader(input), lenient, nil, nil)
+	gotLog, gotSal, gotErr := parseLog(strings.NewReader(input), lenient, nil)
 	refLog, refSal, refErr := refParse(strings.NewReader(input), lenient, nil)
 	if (gotErr == nil) != (refErr == nil) {
 		t.Fatalf("error presence diverges: byte=%v reference=%v", gotErr, refErr)
@@ -231,7 +250,7 @@ func TestOversizedFinalLineNotSwallowed(t *testing.T) {
 		"  Physical Cell ID = 393, Freq = 521310\n" +
 		strings.Repeat("j", maxLineBytes+1) // no trailing newline
 	reg := obs.NewRegistry()
-	log, sal, err := ParseLenientObserved(strings.NewReader(input), reg)
+	log, sal, err := parseLog(strings.NewReader(input), true, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +281,7 @@ func TestObservedCounterParityByteVsReference(t *testing.T) {
 	}
 	corrupted := faults.New(7, faults.Profile(0.10)).Corrupt(string(clean))
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
-	if _, _, err := parse(strings.NewReader(corrupted), true, regA, nil); err != nil {
+	if _, _, err := parseLog(strings.NewReader(corrupted), true, regA); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := refParse(strings.NewReader(corrupted), true, regB); err != nil {
@@ -278,8 +297,9 @@ func TestObservedCounterParityByteVsReference(t *testing.T) {
 	}
 }
 
-// TestTeeSeesExactlyKeptEvents: the ParseLenientObservedTee sink
-// receives the same events, in the same order, as the returned Log.
+// TestTeeSeesExactlyKeptEvents: a sink handed to ParseTo receives
+// exactly the events the reference parser keeps, in the same order, and
+// EventsKept counts exactly the deliveries.
 func TestTeeSeesExactlyKeptEvents(t *testing.T) {
 	clean, err := os.ReadFile(filepath.Join("testdata", "s1e3_capture.log"))
 	if err != nil {
@@ -287,13 +307,20 @@ func TestTeeSeesExactlyKeptEvents(t *testing.T) {
 	}
 	corrupted := faults.New(3, faults.Profile(0.10)).Corrupt(string(clean))
 	var teed Log
-	log, _, err := ParseLenientObservedTee(strings.NewReader(corrupted), nil, &teed)
+	sal, err := ParseTo(strings.NewReader(corrupted), &teed, ParseOptions{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(log.Events, teed.Events) {
-		t.Fatalf("tee saw %d events, log kept %d (or order/content differs)",
-			teed.Len(), log.Len())
+	ref, _, err := refParse(strings.NewReader(corrupted), true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eventsEquivalent(&teed, ref) {
+		t.Fatalf("sink saw %d events, reference kept %d (or order/content differs)",
+			teed.Len(), ref.Len())
+	}
+	if sal.EventsKept != teed.Len() {
+		t.Fatalf("EventsKept = %d, sink saw %d", sal.EventsKept, teed.Len())
 	}
 }
 
@@ -372,7 +399,7 @@ func TestParseSteadyStateAllocsPerLine(t *testing.T) {
 	rd := bytes.NewReader(data)
 	allocs := testing.AllocsPerRun(20, func() {
 		rd.Reset(data)
-		if _, _, err := parse(rd, true, nil, nil); err != nil {
+		if _, _, err := parseLog(rd, true, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,9 +16,10 @@ import (
 
 // Sink consumes capture events one at a time. *Log collects them in
 // memory; *Emitter renders them straight into an io.Writer so a run
-// never has to materialize its full capture. The simulator writes to a
-// Sink, which is what lets the same run engine feed both the in-memory
-// and the streaming pipelines.
+// never has to materialize its full capture. Both the simulator and
+// ParseTo write to a Sink, which is what lets a campaign run feed the
+// same timeline builder whether its events come from the engine or
+// from parsed capture text.
 type Sink interface {
 	Append(at time.Duration, m rrc.Message)
 }

@@ -48,7 +48,7 @@ func TestParseLenientObservedCountersMatchSalvage(t *testing.T) {
 	}
 	corrupted := faults.New(7, faults.Uniform(0.05)).Corrupt(string(clean))
 	reg := obs.NewRegistry()
-	log, sal, err := ParseLenientObserved(strings.NewReader(corrupted), reg)
+	log, sal, err := parseLog(strings.NewReader(corrupted), true, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestParseLenientObservedCountersMatchSalvage(t *testing.T) {
 		}
 	}
 	// Counters accumulate across parses on a shared registry.
-	if _, _, err := ParseLenientObserved(strings.NewReader(corrupted), reg); err != nil {
+	if _, _, err := parseLog(strings.NewReader(corrupted), true, reg); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := reg.Counter("sig.events.kept").Value(), int64(2*sal.EventsKept); got != want {
@@ -78,7 +78,7 @@ func TestParseLenientObservedCountersMatchSalvage(t *testing.T) {
 func TestParseObservedCountsOversized(t *testing.T) {
 	huge := strings.Repeat("x", maxLineBytes+10) + "\n"
 	reg := obs.NewRegistry()
-	_, sal, err := ParseLenientObserved(strings.NewReader(huge), reg)
+	_, sal, err := parseLog(strings.NewReader(huge), true, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

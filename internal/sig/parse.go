@@ -39,9 +39,9 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // record.
 const maxLineBytes = 4 * 1024 * 1024
 
-// ErrLineTooLong marks a line exceeding maxLineBytes. Strict Parse
+// ErrLineTooLong marks a line exceeding maxLineBytes. A strict parse
 // wraps it in a ParseError carrying the line number and a prefix of the
-// offender; ParseLenient skips the line and resyncs.
+// offender; a lenient one skips the line and resyncs.
 var ErrLineTooLong = errors.New("line exceeds 4 MiB limit")
 
 // maxSalvageErrors bounds the detail kept per salvage report; the
@@ -51,7 +51,7 @@ const maxSalvageErrors = 64
 // Salvage reports what lenient parsing kept and what it had to discard
 // from a damaged capture.
 type Salvage struct {
-	// EventsKept is the number of events recovered into the Log.
+	// EventsKept is the number of events delivered to the sink.
 	EventsKept int
 	// RecordsDropped counts recognized records whose details failed to
 	// build a message and were quarantined.
@@ -88,76 +88,57 @@ func (s *Salvage) Summary() string {
 		s.EventsKept, s.RecordsDropped, s.LinesSkipped, 100*s.KeptRatio())
 }
 
+// ParseOptions selects how ParseTo treats damage and where it reports.
+// The zero value is a strict, unobserved parse.
+type ParseOptions struct {
+	// Lenient quarantines malformed records instead of aborting: a
+	// record whose details fail to build is dropped into the Salvage
+	// report and parsing resyncs at the next header, so only a failing
+	// reader can make the parse error.
+	Lenient bool
+	// Metrics, when non-nil, receives the parsing counters (lines read,
+	// skipped and oversized, records dropped, events kept) once the
+	// parse completes. The per-line loop never consults it, so a nil
+	// collector costs nothing.
+	Metrics obs.Collector
+}
+
 // Parse reads an NSG-style log back into a Log. Lines that are neither
 // a recognizable header nor an indented detail line are skipped (real
 // captures interleave unrelated records); malformed details of a
 // recognized message are an error.
-func Parse(r io.Reader) (*Log, error) {
-	log, _, err := parse(r, false, nil, nil)
-	return log, err
-}
+func Parse(r io.Reader) (*Log, error) { return ParseObserved(r, nil) }
 
-// ParseObserved is Parse with parsing counters (lines read, lines
-// skipped, oversized-line hits, events kept) flushed into c when the
-// parse completes. A nil collector makes it exactly Parse: the per-line
-// hot loop never consults the collector, so observability costs nothing
-// until the final flush.
+// ParseObserved is Parse with the parsing counters flushed into c when
+// the parse completes; a nil collector makes it exactly Parse.
 func ParseObserved(r io.Reader, c obs.Collector) (*Log, error) {
-	log, _, err := parse(r, false, c, nil)
-	return log, err
+	log := &Log{Events: make([]Event, 0, 256)}
+	if _, err := ParseTo(r, log, ParseOptions{Metrics: c}); err != nil {
+		return nil, err
+	}
+	return log, nil
 }
 
-// ParseString is Parse over a string.
-func ParseString(s string) (*Log, error) { return Parse(strings.NewReader(s)) }
-
-// ParseLenient reads a possibly corrupted NSG-style log, quarantining
-// malformed records instead of aborting: a record whose details fail to
-// build is dropped into the Salvage report and parsing resyncs at the
-// next header. The error is non-nil only when the reader itself fails;
-// arbitrary text content never errors.
-func ParseLenient(r io.Reader) (*Log, *Salvage, error) {
-	return parse(r, true, nil, nil)
-}
-
-// ParseLenientString is ParseLenient over a string.
-func ParseLenientString(s string) (*Log, *Salvage, error) {
-	return ParseLenient(strings.NewReader(s))
-}
-
-// ParseLenientObserved is ParseLenient with parsing counters flushed
-// into c when the parse completes; a nil collector makes it exactly
-// ParseLenient.
-func ParseLenientObserved(r io.Reader, c obs.Collector) (*Log, *Salvage, error) {
-	return parse(r, true, c, nil)
-}
-
-// ParseLenientObservedTee is ParseLenientObserved with every recovered
-// event additionally delivered to tee, in capture order, the moment it
-// is parsed. This is the incremental-extraction hook: a campaign run
-// hands trace.NewBuilder() here and the timeline is built during the
-// parse pass instead of by re-walking the materialized log afterwards.
-// tee sees exactly the events that end up in the returned Log.
-func ParseLenientObservedTee(r io.Reader, c obs.Collector, tee Sink) (*Log, *Salvage, error) {
-	return parse(r, true, c, tee)
-}
-
-// parse is the shared strict/lenient parsing loop over a pooled []byte
-// parser. Counters accumulate in locals and flush into c once at the
-// end, keeping the per-line path free of interface calls; a parse
-// aborted by an error flushes nothing.
+// ParseTo is the parse loop: it delivers every kept event to dst in
+// capture order, the moment its record is complete, and keeps nothing
+// of its own. With a trace.Builder as dst, extraction runs fused with
+// the parse and no event log is ever materialized. A parse aborted by
+// an error has already delivered the events before the failing record
+// and returns no Salvage.
 //
 // The per-line path performs no allocations: lines are zero-copy views
-// from the lineScanner, the current record accumulates in the parser's
-// reused arena, and repeated tokens (cell-identity lines, measConfig
-// bodies, roles, causes, MM states) resolve through interning tables.
-// What remains is the per-event cost of the result itself — interface
-// boxing in Log.Append and message-internal slices.
+// from the lineScanner, the current record accumulates in the pooled
+// parser's reused arena, and repeated tokens (cell-identity lines,
+// measConfig bodies, roles, causes, MM states) resolve through
+// interning tables. What remains is the per-event cost of the messages
+// themselves. Counters accumulate in locals and flush into
+// opts.Metrics once at the end; an aborted parse flushes nothing.
 //
 //loopvet:hot
-func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage, error) {
+func ParseTo(r io.Reader, dst Sink, opts ParseOptions) (*Salvage, error) {
 	p := acquireParser(r)
 	defer p.release()
-	log := &Log{Events: make([]Event, 0, 256)}
+	lenient := opts.Lenient
 	sal := &Salvage{}
 	var (
 		lineNum   int
@@ -178,10 +159,8 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 			sal.note(pe)
 			return nil
 		}
-		log.Append(p.cur.at, msg)
-		if tee != nil {
-			tee.Append(p.cur.at, msg)
-		}
+		dst.Append(p.cur.at, msg)
+		sal.EventsKept++
 		p.hasCur = false
 		return nil
 	}
@@ -191,14 +170,14 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 			break
 		}
 		if err != nil {
-			return nil, nil, err // reader failure, not capture damage
+			return nil, err // reader failure, not capture damage
 		}
 		lineNum++
 		if tooLong {
 			oversized++
 			pe := oversizedError(lineNum, line)
 			if !lenient {
-				return nil, nil, pe
+				return nil, pe
 			}
 			// An oversized indented line claims to belong to the
 			// current record: its content is untrustworthy, so the
@@ -232,15 +211,14 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 			continue // foreign record; tolerate
 		}
 		if err := flush(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		p.startEvent(line, hdr, lineNum)
 	}
 	if err := flush(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sal.EventsKept = log.Len()
-	if c != nil {
+	if c := opts.Metrics; c != nil {
 		c.Add("sig.lines.read", int64(lineNum))
 		c.Add("sig.lines.oversized", int64(oversized))
 		c.Add("sig.lines.skipped", int64(sal.LinesSkipped))
@@ -248,7 +226,7 @@ func parse(r io.Reader, lenient bool, c obs.Collector, tee Sink) (*Log, *Salvage
 		c.Add("sig.events.kept", int64(sal.EventsKept))
 		c.Observe("sig.events.count", float64(sal.EventsKept))
 	}
-	return log, sal, nil
+	return sal, nil
 }
 
 // quarantineError materializes a ParseError for a record whose details

@@ -85,7 +85,7 @@ func sampleLog() *Log {
 func TestRoundTrip(t *testing.T) {
 	orig := sampleLog()
 	text := orig.String()
-	parsed, err := ParseString(text)
+	parsed, err := parseString(text)
 	if err != nil {
 		t.Fatalf("Parse: %v\nlog:\n%s", err, text)
 	}
@@ -145,7 +145,7 @@ func TestCGILinesRoundTripAndShape(t *testing.T) {
 	if !strings.Contains(text, "NR Cell Global ID = ") || strings.Contains(text, "Global ID = 0,") {
 		t.Errorf("used NR cell should print a nonzero CGI: %q", text)
 	}
-	parsed, err := ParseString(text)
+	parsed, err := parseString(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestParseToleratesForeignLines(t *testing.T) {
 		"qualcomm diagnostics chatter 0xdeadbeef\n" +
 		"00:00:02.000 NR5G RRC OTA Packet -- DL_CCCH / RRCSetup\n" +
 		"  Physical Cell ID = 393, Freq = 521310\n"
-	l, err := ParseString(text)
+	l, err := parseString(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestParseRejectsMalformedDetail(t *testing.T) {
 	text := "00:00:01.000 NR5G RRC OTA Packet -- DL_DCCH / RRCReconfiguration\n" +
 		"  Physical Cell ID = 393, Freq = 521310\n" +
 		"  sCellToAddModList {sCellIndex one, physCellId 273, absoluteFrequencySSB 387410}\n"
-	_, err := ParseString(text)
+	_, err := parseString(text)
 	if err == nil {
 		t.Fatal("expected error for malformed sCellToAddModList")
 	}
@@ -198,7 +198,7 @@ func TestParseRejectsMalformedDetail(t *testing.T) {
 
 func TestParseRejectsUnknownKind(t *testing.T) {
 	text := "00:00:01.000 NR5G RRC OTA Packet -- DL_DCCH / MartianMessage\n"
-	if _, err := ParseString(text); err == nil {
+	if _, err := parseString(text); err == nil {
 		t.Fatal("expected error for unknown message kind")
 	}
 }
@@ -294,7 +294,7 @@ func TestRoundTripProperty(t *testing.T) {
 				orig.Append(now, rrc.Exception{MMState: "DEREGISTERED", Substate: "NO_CELL_AVAILABLE"})
 			}
 		}
-		parsed, err := ParseString(orig.String())
+		parsed, err := parseString(orig.String())
 		if err != nil || parsed.Len() != orig.Len() {
 			return false
 		}
@@ -321,11 +321,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("00:00:01.000 NR5G RRC OTA Packet -- UL_CCCH / RRCSetupRequest\n  Physical Cell ID = 1, Freq = 2\n")
 	f.Add("garbage\n\n  indented orphan\n99:99:99.999 nonsense")
 	f.Fuzz(func(t *testing.T, input string) {
-		l, err := ParseString(input)
+		l, err := parseString(input)
 		if err != nil {
 			return
 		}
-		re, err := ParseString(l.String())
+		re, err := parseString(l.String())
 		if err != nil {
 			t.Fatalf("accepted log failed to re-parse: %v", err)
 		}

@@ -33,7 +33,7 @@ func saLoopTimeline() *trace.Timeline {
 	l.Append(at(20000), rrc.Release{Rat: band.RATNR})
 	l.Append(at(30000), rrc.SetupComplete{Rat: band.RATNR, Cell: ref("393@521310")})
 	l.Append(at(60000), rrc.MeasReport{Rat: band.RATNR})
-	return trace.Extract(l)
+	return trace.FromLog(l)
 }
 
 // nsaTimeline is NSA for 20 s, then 4G-only.
@@ -46,7 +46,7 @@ func nsaTimeline() *trace.Timeline {
 	l.Append(at(20000), rrc.Reconfig{Rat: band.RATLTE, Serving: ref("380@5145"), SCGRelease: true})
 	l.Append(at(20010), rrc.ReconfigComplete{Rat: band.RATLTE})
 	l.Append(at(40000), rrc.MeasReport{Rat: band.RATLTE})
-	return trace.Extract(l)
+	return trace.FromLog(l)
 }
 
 func TestGenerateShapesSA(t *testing.T) {

@@ -260,10 +260,6 @@ type extractor struct {
 	scgFailAt   time.Duration
 }
 
-// Extract folds a signaling log into a timeline. The timeline always
-// starts with an IDLE step at t=0.
-func Extract(log *sig.Log) *Timeline { return FromLog(log) }
-
 // Builder folds capture events into a timeline incrementally, one event
 // per Append. It implements sig.Sink, so a streaming parser can feed
 // extraction directly — no materialized event log between the two
@@ -334,7 +330,8 @@ func (b *Builder) Finish() *Timeline {
 }
 
 // FromLog folds a signaling log into a timeline, tolerating the clock
-// artifacts of salvaged captures (see Builder for the resync rule).
+// artifacts of salvaged captures (see Builder for the resync rule). The
+// timeline always starts with an IDLE step at t=0.
 func FromLog(log *sig.Log) *Timeline {
 	b := NewBuilder()
 	for _, e := range log.Events {

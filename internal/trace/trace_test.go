@@ -57,7 +57,7 @@ func s1e3Log(cycles int) *sig.Log {
 }
 
 func TestExtractS1E3(t *testing.T) {
-	tl := Extract(s1e3Log(2))
+	tl := FromLog(s1e3Log(2))
 	// Per cycle: IDLE, SA1 (PCell), SA2 (+3 SCells), SA3 (modified), IDLE.
 	// First IDLE at t=0, then 4 steps per cycle.
 	if got := len(tl.Steps); got != 1+4*2 {
@@ -115,7 +115,7 @@ func TestExtractS1E1Unmeasured(t *testing.T) {
 		}})
 	}
 	l.Append(at(7000), rrc.Release{Rat: band.RATNR})
-	tl := Extract(l)
+	tl := FromLog(l)
 	last := tl.Steps[len(tl.Steps)-1]
 	if last.Evidence.Kind != CauseRRCRelease {
 		t.Fatalf("cause = %v", last.Evidence.Kind)
@@ -141,7 +141,7 @@ func TestExtractS1E2Poor(t *testing.T) {
 		{Cell: ref("390@387410"), Role: rrc.RoleSCell, Meas: meas.Measurement{RSRPDBm: -108.5, RSRQDB: -25.5}},
 	}})
 	l.Append(at(10500), rrc.Release{Rat: band.RATNR})
-	tl := Extract(l)
+	tl := FromLog(l)
 	last := tl.Steps[len(tl.Steps)-1]
 	if len(last.Evidence.PoorSCells) != 1 || last.Evidence.PoorSCells[0] != ref("390@387410") {
 		t.Errorf("PoorSCells = %v", last.Evidence.PoorSCells)
@@ -172,7 +172,7 @@ func TestWorstSCellRSRPNoReportSentinel(t *testing.T) {
 	l.Append(at(910), rrc.ReconfigComplete{Rat: band.RATNR})
 	// No MeasReport before the release.
 	l.Append(at(5000), rrc.Release{Rat: band.RATNR})
-	tl := Extract(l)
+	tl := FromLog(l)
 	ev := tl.Steps[len(tl.Steps)-1].Evidence
 	if !math.IsInf(ev.WorstSCellRSRP.Float(), 1) {
 		t.Errorf("WorstSCellRSRP = %v, want +Inf sentinel when no report was seen", ev.WorstSCellRSRP)
@@ -200,7 +200,7 @@ func TestExtractN2E1Handover(t *testing.T) {
 	// Handover to the 5G-disabled channel without spCellConfig: drop SCG.
 	l.Append(at(5000), rrc.Reconfig{Rat: band.RATLTE, Serving: back, Mobility: &away})
 	l.Append(at(5010), rrc.ReconfigComplete{Rat: band.RATLTE})
-	tl := Extract(l)
+	tl := FromLog(l)
 	last := tl.Steps[len(tl.Steps)-1]
 	if last.Set.State() != cell.State4GOnly {
 		t.Fatalf("state = %v", last.Set.State())
@@ -221,7 +221,7 @@ func TestExtractHandoverKeepingSCG(t *testing.T) {
 	// Handover that re-provisions the SCG in the same message keeps 5G.
 	l.Append(at(1000), rrc.Reconfig{Rat: band.RATLTE, Serving: from, Mobility: &to, SpCell: &spCell})
 	l.Append(at(1010), rrc.ReconfigComplete{Rat: band.RATLTE})
-	tl := Extract(l)
+	tl := FromLog(l)
 	last := tl.Steps[len(tl.Steps)-1]
 	if last.Set.State() != cell.State5GNSA {
 		t.Fatalf("state = %v, want NSA", last.Set.State())
@@ -242,7 +242,7 @@ func TestExtractN2E2SCGFailure(t *testing.T) {
 	l.Append(at(5000), rrc.SCGFailureInfo{FailureType: rrc.SCGFailureRandomAccess})
 	l.Append(at(5040), rrc.Reconfig{Rat: band.RATLTE, Serving: pcell, SCGRelease: true})
 	l.Append(at(5050), rrc.ReconfigComplete{Rat: band.RATLTE})
-	tl := Extract(l)
+	tl := FromLog(l)
 	last := tl.Steps[len(tl.Steps)-1]
 	if last.Set.State() != cell.State4GOnly {
 		t.Fatalf("state = %v", last.Set.State())
@@ -261,7 +261,7 @@ func TestExtractReestablishment(t *testing.T) {
 	l.Append(at(1010), rrc.ReconfigComplete{Rat: band.RATLTE})
 	l.Append(at(8000), rrc.ReestablishmentRequest{Cause: rrc.ReestOtherFailure})
 	l.Append(at(8100), rrc.ReestablishmentComplete{Cell: ref("238@5815")})
-	tl := Extract(l)
+	tl := FromLog(l)
 	// Steps: IDLE, 4G, NSA, IDLE (reest req), 4G (reest complete).
 	if len(tl.Steps) != 5 {
 		t.Fatalf("steps = %d", len(tl.Steps))
@@ -279,7 +279,7 @@ func TestExtractReestablishment(t *testing.T) {
 }
 
 func TestTimeIn5G(t *testing.T) {
-	tl := Extract(s1e3Log(1))
+	tl := FromLog(s1e3Log(1))
 	// ON from 210 ms (setup complete) to 5200 ms (exception): ~4990 ms.
 	on := tl.TimeIn5G(0, tl.Duration)
 	if on != 4990*time.Millisecond {
@@ -345,7 +345,7 @@ func TestTimeIn5GBoundaries(t *testing.T) {
 	}
 
 	// Windows entirely outside the observation.
-	tl := Extract(s1e3Log(1))
+	tl := FromLog(s1e3Log(1))
 	if got := tl.TimeIn5G(tl.Duration+time.Second, tl.Duration+time.Minute); got != 0 {
 		t.Errorf("window after observation = %v, want 0", got)
 	}
@@ -363,7 +363,7 @@ func TestTimeIn5GBoundaries(t *testing.T) {
 // figure of the paper must be a true ratio.
 func TestOffRatioWithinUnit(t *testing.T) {
 	for cycles := 1; cycles <= 4; cycles++ {
-		occ := Extract(s1e3Log(cycles)).Occupy()
+		occ := FromLog(s1e3Log(cycles)).Occupy()
 		if r := occ.OffRatio(); r < 0 || r > 1 {
 			t.Errorf("cycles=%d: OffRatio = %v, want within [0,1]", cycles, r)
 		}
@@ -378,7 +378,7 @@ func TestStaleReconfigAfterRelease(t *testing.T) {
 	l.Append(at(1100), rrc.Reconfig{Rat: band.RATNR, Serving: ref("393@521310"),
 		AddSCells: []rrc.SCellEntry{{Index: 1, Cell: ref("273@387410")}}})
 	l.Append(at(1110), rrc.ReconfigComplete{Rat: band.RATNR})
-	tl := Extract(l)
+	tl := FromLog(l)
 	if !tl.Steps[len(tl.Steps)-1].Set.IsIdle() {
 		t.Error("stale reconfig resurrected the connection")
 	}
@@ -396,7 +396,7 @@ func TestIndexReuseReplacesCell(t *testing.T) {
 	l.Append(at(2000), rrc.Reconfig{Rat: band.RATNR, Serving: ref("393@521310"),
 		AddSCells: []rrc.SCellEntry{{Index: 4, Cell: ref("104@501390")}}})
 	l.Append(at(2010), rrc.ReconfigComplete{Rat: band.RATNR})
-	tl := Extract(l)
+	tl := FromLog(l)
 	last := tl.Steps[len(tl.Steps)-1].Set
 	if last.Contains(ref("393@501390")) || !last.Contains(ref("104@501390")) {
 		t.Errorf("index reuse not applied: %v", last)
@@ -468,7 +468,7 @@ func TestExtractInvariants(t *testing.T) {
 				}
 			}
 		}
-		tl := Extract(l)
+		tl := FromLog(l)
 		if len(tl.Steps) == 0 || !tl.Steps[0].Set.IsIdle() || tl.Steps[0].At != 0 {
 			return false
 		}
@@ -492,7 +492,7 @@ func TestExtractInvariants(t *testing.T) {
 }
 
 func TestOccupancy(t *testing.T) {
-	tl := Extract(s1e3Log(2))
+	tl := FromLog(s1e3Log(2))
 	o := tl.Occupy()
 	if o.Total != tl.Duration || o.Steps != len(tl.Steps) {
 		t.Errorf("totals: %+v", o)
@@ -548,7 +548,7 @@ func TestFromLogResyncsClockRegression(t *testing.T) {
 }
 
 // TestFromLogCleanUnchanged: monotonic captures are untouched by the
-// resync path — Extract and FromLog agree step for step.
+// resync path — steps stay in order and the duration is the log's.
 func TestFromLogCleanUnchanged(t *testing.T) {
 	l := s1e3Log(3)
 	tl := FromLog(l)

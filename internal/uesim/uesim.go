@@ -125,27 +125,15 @@ type Result struct {
 // memory.
 func Run(cfg Config) *Result {
 	log := &sig.Log{Events: make([]sig.Event, 0, 4096)}
-	if err := RunTo(cfg, log); err != nil {
-		// RunTo runs under a background context, which can neither be
-		// cancelled nor expire, and RunToContext's only error channel
-		// is its context. If this ever fires the capture is a torn
-		// prefix with no run-end stamp, and analyzing it as a complete
-		// run would corrupt a study — fail loudly instead.
+	if err := RunToContext(context.Background(), cfg, log); err != nil {
+		// A background context can neither be cancelled nor expire,
+		// and RunToContext's only error channel is its context. If
+		// this ever fires the capture is a torn prefix with no run-end
+		// stamp, and analyzing it as a complete run would corrupt a
+		// study — fail loudly instead.
 		panic(fmt.Sprintf("uesim: background run aborted: %v", err))
 	}
 	return &Result{Log: log}
-}
-
-// RunTo executes one simulated run, emitting each event to sink as it
-// happens. With a *sig.Emitter over an io.Pipe this streams a run
-// straight into the parser without ever materializing the capture; with
-// a *sig.Log it is Run. Events arrive in strictly increasing time
-// order. The returned error is RunToContext's: nil for the background
-// context used here unless the engine is changed to abort for new
-// reasons, in which case callers see it instead of a silent torn
-// capture.
-func RunTo(cfg Config, sink sig.Sink) error {
-	return RunToContext(context.Background(), cfg, sink)
 }
 
 // runAbort is the panic sentinel that unwinds the engine when its
@@ -153,13 +141,16 @@ func RunTo(cfg Config, sink sig.Sink) error {
 // context's error. Any other panic propagates untouched.
 type runAbort struct{ err error }
 
-// RunToContext is RunTo under a context: the run aborts between events
-// as soon as ctx is cancelled or its deadline passes, and the context's
+// RunToContext executes one simulated run, delivering each event to
+// sink as it happens, in strictly increasing time order. With a
+// *sig.Emitter over an io.Pipe this streams a run straight into the
+// parser; with a *sig.Log it is Run. The run aborts between events as
+// soon as ctx is cancelled or its deadline passes, and the context's
 // error is returned. An aborted run has emitted a strict prefix of the
 // uninterrupted event stream — cancellation never tears an event — but
 // carries no run-end stamp, so its capture must be discarded, not
-// analyzed. A nil or never-cancelled ctx reproduces RunTo exactly:
-// the engine consumes the same RNG stream and emits the same events.
+// analyzed. A nil or never-cancelled ctx reproduces Run exactly: the
+// engine consumes the same RNG stream and emits the same events.
 func RunToContext(ctx context.Context, cfg Config, sink sig.Sink) (err error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 5 * time.Minute

@@ -57,11 +57,11 @@ func findCluster(t *testing.T, op *policy.Operator, areaID string, arch deploy.A
 func analyzeRun(t *testing.T, cfg Config) (core.Analysis, *trace.Timeline) {
 	t.Helper()
 	res := Run(cfg)
-	parsed, err := sig.ParseString(res.Log.String())
+	parsed, err := sig.Parse(strings.NewReader(res.Log.String()))
 	if err != nil {
 		t.Fatalf("run log does not re-parse: %v", err)
 	}
-	tl := trace.Extract(parsed)
+	tl := trace.FromLog(parsed)
 	return core.Analyze(tl), tl
 }
 
@@ -187,7 +187,7 @@ func TestRunLogReparses(t *testing.T) {
 		if res.Log.Len() == 0 {
 			t.Fatalf("%s: empty log", op.Name)
 		}
-		if _, err := sig.ParseString(res.Log.String()); err != nil {
+		if _, err := sig.Parse(strings.NewReader(res.Log.String())); err != nil {
 			t.Errorf("%s: log does not re-parse: %v", op.Name, err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestDeviceServingCellsDiffer(t *testing.T) {
 	d, cl := findCluster(t, policy.OPT(), "A1", deploy.ArchClean)
 	run := func(dev *device.Profile) *trace.Timeline {
 		res := Run(Config{Op: d.Op, Field: d.Field, Cluster: cl, Device: dev, Duration: 30 * time.Second, Seed: 11})
-		return trace.Extract(res.Log)
+		return trace.FromLog(res.Log)
 	}
 	maxCells := func(tl *trace.Timeline) int {
 		max := 0
@@ -263,7 +263,7 @@ func TestOnePlus10ProLTEOnlyOnOPA(t *testing.T) {
 	d := deploy.Build(op, deploy.AreasFor("OPA")[0], 4)
 	res := Run(Config{Op: op, Field: d.Field, Cluster: d.Clusters[0],
 		Device: device.OnePlus10Pro(), Duration: 2 * time.Minute, Seed: 3})
-	tl := trace.Extract(res.Log)
+	tl := trace.FromLog(res.Log)
 	for _, s := range tl.Steps {
 		if s.Set.Uses5G() {
 			t.Fatal("OnePlus 10 Pro must stay 4G-only on OPA")
@@ -314,7 +314,7 @@ func TestMeasurableFloorRespected(t *testing.T) {
 	// No measurement report may contain an entry below the floor.
 	d, cl := findCluster(t, policy.OPT(), "A1", deploy.ArchS1E1)
 	res := Run(Config{Op: d.Op, Field: d.Field, Cluster: cl, Duration: time.Minute, Seed: 21})
-	parsed, err := sig.ParseString(res.Log.String())
+	parsed, err := sig.Parse(strings.NewReader(res.Log.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +347,11 @@ func TestWalkingRunChangesBehaviour(t *testing.T) {
 		Duration:     5 * time.Minute,
 		Seed:         3000,
 	})
-	parsed, err := sig.ParseString(res.Log.String())
+	parsed, err := sig.Parse(strings.NewReader(res.Log.String()))
 	if err != nil {
 		t.Fatalf("mobile log does not re-parse: %v", err)
 	}
-	tl := trace.Extract(parsed)
+	tl := trace.FromLog(parsed)
 	if len(tl.Steps) < 2 {
 		t.Fatal("mobile run produced no activity")
 	}

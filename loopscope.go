@@ -29,6 +29,7 @@ package loopscope
 import (
 	"context"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/mssn/loopscope/internal/campaign"
@@ -52,13 +53,9 @@ import (
 type (
 	// Log is a parsed signaling capture.
 	Log = sig.Log
-	// LogSink receives simulated signaling events one at a time; a *Log
-	// collects them, a *LogEmitter streams them as capture text.
+	// LogSink receives signaling events one at a time; a *Log collects
+	// them, a *TimelineBuilder folds them into a Timeline as they arrive.
 	LogSink = sig.Sink
-	// LogEmitter renders events to an io.Writer as they arrive, so a
-	// run can feed a parser through io.Pipe without building the full
-	// capture string.
-	LogEmitter = sig.Emitter
 	// Timeline is the serving-cell-set sequence extracted from a log.
 	Timeline = trace.Timeline
 	// CellSet is one serving cell set (MCG + optional SCG).
@@ -166,22 +163,30 @@ const (
 func ParseLog(r io.Reader) (*Log, error) { return sig.Parse(r) }
 
 // ParseLogString reads an NSG-style signaling log from a string.
-func ParseLogString(s string) (*Log, error) { return sig.ParseString(s) }
+func ParseLogString(s string) (*Log, error) { return sig.Parse(strings.NewReader(s)) }
 
 // Salvage reports what lenient parsing kept and discarded from a
 // damaged capture.
 type Salvage = sig.Salvage
 
-// ParseLogLenient reads a possibly corrupted NSG-style log in salvage
-// mode: malformed records are quarantined into the Salvage report and
-// parsing resyncs at the next header instead of aborting. The error is
-// non-nil only when the reader itself fails.
-func ParseLogLenient(r io.Reader) (*Log, *Salvage, error) { return sig.ParseLenient(r) }
+// ParseOptions selects strict or lenient (salvage) parsing and an
+// optional metrics collector for ParseLogTo.
+type ParseOptions = sig.ParseOptions
+
+// ParseLogTo reads an NSG-style signaling log, delivering each kept
+// event to dst as it is parsed; nothing else is retained. Pass a *Log
+// to collect the events, or a TimelineBuilder to extract the timeline
+// in the same pass. With opts.Lenient, malformed records are
+// quarantined into the Salvage report and parsing resyncs at the next
+// header instead of aborting; the error is then non-nil only when the
+// reader itself fails.
+func ParseLogTo(r io.Reader, dst LogSink, opts ParseOptions) (*Salvage, error) {
+	return sig.ParseTo(r, dst, opts)
+}
 
 // Observability. A MetricsRegistry collects counters, gauges,
 // fixed-bucket histograms and per-run stage spans from the pipeline
-// (set StudyOptions.Metrics, RunConfig.Metrics, or use the Observed
-// parse variants) and snapshots to stable, timestamp-free JSON.
+// (set StudyOptions.Metrics, RunConfig.Metrics or ParseOptions.Metrics) and snapshots to stable, timestamp-free JSON.
 // Metrics are pure observation: every study record and experiment
 // output is byte-identical with the collector enabled or disabled.
 type (
@@ -196,27 +201,6 @@ type (
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// ParseLogObserved is ParseLog with parsing counters flushed into c
-// when the parse completes; a nil collector makes it exactly ParseLog.
-func ParseLogObserved(r io.Reader, c MetricsCollector) (*Log, error) {
-	return sig.ParseObserved(r, c)
-}
-
-// ParseLogLenientObserved is ParseLogLenient with parsing counters
-// flushed into c when the parse completes.
-func ParseLogLenientObserved(r io.Reader, c MetricsCollector) (*Log, *Salvage, error) {
-	return sig.ParseLenientObserved(r, c)
-}
-
-// ParseLogLenientObservedTee is ParseLogLenientObserved with every kept
-// event also delivered to tee as it is parsed. With a TimelineBuilder
-// as the tee, parsing and timeline extraction run as one fused pass;
-// add TimelineBuilder.TeeSteps into a StreamLoopDetector and loop
-// detection joins the same pass — the full live-analysis pipeline.
-func ParseLogLenientObservedTee(r io.Reader, c MetricsCollector, tee LogSink) (*Log, *Salvage, error) {
-	return sig.ParseLenientObservedTee(r, c, tee)
-}
 
 // NewTimelineBuilder returns a TimelineBuilder whose timeline starts,
 // like every extracted timeline, with an IDLE step at t=0.
@@ -261,7 +245,7 @@ func FaultProfile(rate float64) FaultRates { return faults.Profile(rate) }
 
 // ExtractTimeline folds a log into its serving-cell-set timeline
 // (Appendix B methodology).
-func ExtractTimeline(l *Log) *Timeline { return trace.Extract(l) }
+func ExtractTimeline(l *Log) *Timeline { return trace.FromLog(l) }
 
 // DetectLoops finds every ON-OFF loop in a timeline (Fig. 4).
 func DetectLoops(tl *Timeline) []*Loop { return core.DetectAll(tl) }
@@ -274,7 +258,7 @@ func Analyze(tl *Timeline) Analysis { return core.Analyze(tl) }
 
 // AnalyzeLog parses nothing — it chains extraction and analysis for a
 // log already in hand.
-func AnalyzeLog(l *Log) Analysis { return core.Analyze(trace.Extract(l)) }
+func AnalyzeLog(l *Log) Analysis { return core.Analyze(trace.FromLog(l)) }
 
 // Operators returns the three operator profiles of the study.
 func Operators() []*Operator { return policy.All() }
@@ -302,19 +286,6 @@ func BuildDeployment(op *Operator, area AreaSpec, seed int64) *Deployment {
 // SimulateRun executes one stationary run and returns its signaling
 // capture; analyze it with AnalyzeLog.
 func SimulateRun(cfg RunConfig) *RunResult { return uesim.Run(cfg) }
-
-// SimulateRunTo executes one stationary run, delivering each signaling
-// event to the sink as it happens instead of collecting a Log. With a
-// NewLogEmitter sink this streams the capture text end-to-end. The
-// returned error reports an aborted run, whose partial capture must be
-// discarded; it is always nil today (the run is not cancellable from
-// this facade) but callers should propagate it.
-func SimulateRunTo(cfg RunConfig, sink LogSink) error { return uesim.RunTo(cfg, sink) }
-
-// NewLogEmitter returns a LogSink that renders events to w in capture
-// format. Call Close when done to flush and recycle its buffers; the
-// first write error sticks and is returned from Close.
-func NewLogEmitter(w io.Writer) *LogEmitter { return sig.NewEmitter(w) }
 
 // RunStudy executes the full measurement study across all areas.
 func RunStudy(opts StudyOptions) *Study { return campaign.Run(opts) }
