@@ -412,6 +412,19 @@ func BenchmarkFullStudy(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseStudy measures the fine-grained spatial grids — the
+// Fig. 20 showcase grid and the S1E1/S1E2 grids — from a cold context,
+// so every iteration pays for the whole sweep that benchExperiment
+// warms outside its timer.
+func BenchmarkDenseStudy(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		ctx := experiments.NewContext(benchOpts())
+		if pts, _, _ := ctx.Dense(); len(pts) == 0 || len(ctx.DenseS1()) == 0 {
+			b.Fatal("empty dense grid")
+		}
+	}
+}
+
 // BenchmarkPublicAPI exercises the facade end to end the way a
 // downstream user would.
 func BenchmarkPublicAPI(b *testing.B) {

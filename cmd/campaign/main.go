@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ckpt     = fs.String("checkpoint", "", "journal every completed run into this file (crash-recoverable; see -resume)")
 		resume   = fs.Bool("resume", false, "replay the -checkpoint journal, skipping runs it already holds")
 		sink     = fs.String("sink", "", "stream every run record to this file as JSON lines while the study executes")
-		workers  = fs.Int("workers", 0, "study worker pool size (0 = one per CPU; output is identical at any count)")
+		workers  = fs.Int("workers", 0, "worker pool size for the study, the dense grids and the generator sweeps (0 = one per CPU; output is identical at any count)")
 		metrics  = fs.String("metrics", "", "write a metrics snapshot (stable JSON) to this file after the run")
 		debug    = fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address while the study runs")
 	)

@@ -63,8 +63,11 @@ type Options struct {
 	// MaxRetries bounds the retries of a failed run (default
 	// DefaultMaxRetries; negative disables retries).
 	MaxRetries int
-	// Workers bounds the RunArea worker pool; 0 means one worker per
-	// CPU. Record order and content are identical at any worker count.
+	// Workers bounds the worker pools: RunArea's, and the Sweep that
+	// DenseStudy and the experiment generators run their simulation
+	// sweeps on. 0 means one worker per CPU. Record order and content,
+	// dense points and generator output are identical at any worker
+	// count.
 	Workers int
 	// RunTimeout, when positive, bounds each run attempt's wall-clock
 	// time: an attempt that exceeds it aborts between events and

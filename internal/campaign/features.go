@@ -127,13 +127,50 @@ type DensePoint struct {
 
 // DenseStudy runs the Fig. 20 protocol: stationary runs on a grid of
 // locations around a showcase cluster, recording per-point loop
-// probabilities and model features.
+// probabilities and model features. The grid's runs execute on a
+// Sweep over opts.Workers; the per-point tallies are reduced serially,
+// so the points are identical at any worker count.
 func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 	spacingM float64, steps, runsPerPoint int, opts Options) []DensePoint {
 	opts = opts.withDefaults()
 	grid := geo.DenseGrid(cl.Loc, spacingM, steps)
-	out := make([]DensePoint, 0, len(grid))
 	pair := cl.CellsOnChannel(problemChannelSA)
+	// The target PCell group shares the PCI of the problematic partner
+	// SCell (F17).
+	targetPCI := 0
+	if len(pair) > 0 {
+		targetPCI = pair[0].PCI
+		for _, c := range pair {
+			if m := d.Field.Median(c, cl.Loc); m.RSRPDBm > d.Field.Median(pair[0], cl.Loc).RSRPDBm {
+				targetPCI = c.PCI
+			}
+		}
+	}
+	// One job per (point, run); job k is run k%runsPerPoint at point
+	// k/runsPerPoint.
+	type denseRun struct{ s1e3, s1, target bool }
+	runs := make([]denseRun, len(grid)*runsPerPoint)
+	Sweep(opts.Workers, len(runs), func(k int) {
+		gi, ri := k/runsPerPoint, k%runsPerPoint
+		tl := Simulate(uesim.Config{
+			Op:       op,
+			Field:    d.Field,
+			Cluster:  cl,
+			Device:   opts.Device,
+			Loc:      grid[gi],
+			Duration: opts.Duration,
+			Seed:     opts.Seed*99991 + int64(gi)*613 + int64(ri)*31 + 7,
+		})
+		var run denseRun
+		if a := core.Analyze(tl); a.HasLoop() {
+			_, st := a.Primary()
+			run.s1e3 = st == core.S1E3
+			run.s1 = st.Type() == core.TypeS1
+		}
+		run.target = anchoredOn(tl, targetPCI)
+		runs[k] = run
+	})
+	out := make([]DensePoint, 0, len(grid))
 	for gi, p := range grid {
 		dp := DensePoint{P: p}
 		if combos := Combos(op, d, cl, p); len(combos) > 0 {
@@ -144,40 +181,15 @@ func DenseStudy(op *policy.Operator, d *deploy.Deployment, cl *deploy.Cluster,
 				dp.PairRSRP[i] = d.Field.Median(c, p).RSRPDBm
 			}
 		}
-		// The target PCell group shares the PCI of the problematic
-		// partner SCell (F17).
-		targetPCI := 0
-		if len(pair) > 0 {
-			targetPCI = pair[0].PCI
-			for _, c := range pair {
-				if m := d.Field.Median(c, cl.Loc); m.RSRPDBm > d.Field.Median(pair[0], cl.Loc).RSRPDBm {
-					targetPCI = c.PCI
-				}
-			}
-		}
 		var s1e3, s1, targetUsed int
-		for ri := 0; ri < runsPerPoint; ri++ {
-			res := uesim.Run(uesim.Config{
-				Op:       op,
-				Field:    d.Field,
-				Cluster:  cl,
-				Device:   opts.Device,
-				Loc:      p,
-				Duration: opts.Duration,
-				Seed:     opts.Seed*99991 + int64(gi)*613 + int64(ri)*31 + 7,
-			})
-			tl := trace.FromLog(res.Log)
-			a := core.Analyze(tl)
-			if a.HasLoop() {
-				_, st := a.Primary()
-				if st == core.S1E3 {
-					s1e3++
-				}
-				if st.Type() == core.TypeS1 {
-					s1++
-				}
+		for _, run := range runs[gi*runsPerPoint : (gi+1)*runsPerPoint] {
+			if run.s1e3 {
+				s1e3++
 			}
-			if anchoredOn(tl, targetPCI) {
+			if run.s1 {
+				s1++
+			}
+			if run.target {
 				targetUsed++
 			}
 		}

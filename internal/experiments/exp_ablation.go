@@ -4,13 +4,13 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope/internal/band"
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/geo"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/radio"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 	"github.com/mssn/loopscope/internal/units"
 )
@@ -54,14 +54,16 @@ func StickinessAblation(c *Context) *Result {
 
 	const runs = 12
 	arm := func(disable bool) (persistent, semi, none int) {
-		for i := 0; i < runs; i++ {
-			res := uesim.Run(uesim.Config{
+		analyses := make([]core.Analysis, runs)
+		campaign.Sweep(c.Opts.Workers, runs, func(i int) {
+			analyses[i] = core.Analyze(campaign.Simulate(uesim.Config{
 				Op: op, Field: field, Cluster: cl,
 				Duration:            4 * time.Minute,
 				Seed:                c.Opts.Seed*23 + int64(i),
 				NoCampingStickiness: disable,
-			})
-			a := core.Analyze(trace.FromLog(res.Log))
+			}))
+		})
+		for _, a := range analyses {
 			if !a.HasLoop() {
 				none++
 				continue

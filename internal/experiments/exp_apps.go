@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/throughput"
@@ -25,23 +26,28 @@ func AppsExperiment(c *Context) *Result {
 		throughput.WorkloadVideoStream,
 		throughput.WorkloadLiveStream,
 	}
+	// The RRC session is identical across workloads — all of them
+	// demand continuous transfer — so each seed is simulated once and
+	// its timeline reused by every workload: the same seeds reproduce
+	// the same loops.
 	const runs = 6
+	timelines := make([]*trace.Timeline, runs)
+	looped := make([]bool, runs)
+	campaign.Sweep(c.Opts.Workers, runs, func(i int) {
+		timelines[i] = campaign.Simulate(uesim.Config{
+			Op: op, Field: dep.Field, Cluster: cl,
+			Duration: 4 * time.Minute,
+			Seed:     c.Opts.Seed*17 + int64(i),
+		})
+		looped[i] = core.Analyze(timelines[i]).HasLoop()
+	})
 	r.addf("%-14s %10s %14s %12s", "workload", "loop runs", "median Mbps", "stalled")
 	for _, w := range workloads {
 		loops := 0
 		var medSum float64
 		var stall time.Duration
-		for i := 0; i < runs; i++ {
-			// The RRC session is identical across workloads — all of
-			// them demand continuous transfer — so the same seeds
-			// reproduce the same loops.
-			res := uesim.Run(uesim.Config{
-				Op: op, Field: dep.Field, Cluster: cl,
-				Duration: 4 * time.Minute,
-				Seed:     c.Opts.Seed*17 + int64(i),
-			})
-			tl := trace.FromLog(res.Log)
-			if core.Analyze(tl).HasLoop() {
+		for i, tl := range timelines {
+			if looped[i] {
 				loops++
 			}
 			samples := throughput.GenerateWorkload(tl, op, int64(i), w)

@@ -65,20 +65,21 @@ func Fig12(c *Context) *Result {
 				break
 			}
 		}
-		for si, s := range sites {
+		// One job per (site, device, run), in that nesting order.
+		looped := make([]bool, len(sites)*len(devices)*runs)
+		campaign.Sweep(c.Opts.Workers, len(looped), func(k int) {
+			si, di, ri := k/(len(devices)*runs), k/runs%len(devices), k%runs
+			s, dev := sites[si], devices[di]
+			opts := c.Opts
+			opts.Device = dev
+			opts.Seed = c.Opts.Seed + int64(si*1000+ri*17+len(dev.Name))
+			looped[k] = campaign.ExecuteRun(op, s.area.Dep, s.area.Dep.Clusters[s.loc],
+				s.loc, ri, opts).HasLoop()
+		})
+		for si := range sites {
 			line := ""
-			for _, dev := range devices {
-				hits := 0
-				for ri := 0; ri < runs; ri++ {
-					opts := c.Opts
-					opts.Device = dev
-					opts.Seed = c.Opts.Seed + int64(si*1000+ri*17+len(dev.Name))
-					rec := campaign.ExecuteRun(op, s.area.Dep, s.area.Dep.Clusters[s.loc],
-						s.loc, ri, opts)
-					if rec.HasLoop() {
-						hits++
-					}
-				}
+			for di, dev := range devices {
+				hits := countTrue(looped[(si*len(devices)+di)*runs:][:runs])
 				ratio := float64(hits) / float64(runs)
 				line += pct(ratio) + " "
 				key := "ratio_" + opName + "_" + dev.Name

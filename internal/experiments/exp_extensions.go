@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/mssn/loopscope/internal/band"
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/cell"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
@@ -40,19 +41,16 @@ func F12Regression(c *Context) *Result {
 	cl := &deploy.Cluster{Loc: loc, Cells: []*cell.Cell{lte, ps, psSCell}}
 
 	runs := 8
-	arm := func(op *policy.Operator) (loops int) {
-		for i := 0; i < runs; i++ {
-			res := uesim.Run(uesim.Config{
+	arm := func(op *policy.Operator) int {
+		looped := make([]bool, runs)
+		campaign.Sweep(c.Opts.Workers, runs, func(i int) {
+			looped[i] = core.Analyze(campaign.Simulate(uesim.Config{
 				Op: op, Field: field, Cluster: cl,
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*51 + int64(i),
-			})
-			a := core.Analyze(trace.FromLog(res.Log))
-			if a.HasLoop() {
-				loops++
-			}
-		}
-		return loops
+			})).HasLoop()
+		})
+		return countTrue(looped)
 	}
 	legacy := arm(policy.OPALegacy())
 	current := arm(policy.OPA())
@@ -83,18 +81,18 @@ func WalkExperiment(c *Context) *Result {
 	counts := make([]int, segs)
 	total := 0
 	walkDur := 10 * time.Minute
-	for run := 0; run < 3; run++ {
-		start := cl.Loc.Add(-300, 0)
-		end := cl.Loc.Add(300, 0)
-		res := uesim.Run(uesim.Config{
+	walks := make([]*trace.Timeline, 3)
+	campaign.Sweep(c.Opts.Workers, len(walks), func(run int) {
+		walks[run] = campaign.Simulate(uesim.Config{
 			Op: op, Field: dep.Field, Cluster: cl,
-			Loc:          start,
-			Path:         []geo.Point{end},
+			Loc:          cl.Loc.Add(-300, 0),
+			Path:         []geo.Point{cl.Loc.Add(300, 0)},
 			WalkSpeedMps: 1.0,
 			Duration:     walkDur,
 			Seed:         c.Opts.Seed*77 + 3 + int64(run),
 		})
-		tl := trace.FromLog(res.Log)
+	})
+	for _, tl := range walks {
 		segDur := walkDur / time.Duration(segs)
 		for _, s := range tl.Steps {
 			if s.Evidence.Kind == trace.CauseNone {

@@ -3,10 +3,10 @@ package experiments
 import (
 	"time"
 
+	"github.com/mssn/loopscope/internal/campaign"
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/policy"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 )
 
@@ -22,23 +22,30 @@ func MitigationStudy(c *Context) *Result {
 	const runs = 8
 	measure := func(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
 		fixes uesim.Fixes, want func(core.Subtype) bool) (loops int, offSeconds float64) {
-		for i := 0; i < runs; i++ {
-			res := uesim.Run(uesim.Config{
+		// Each run keeps its first loop of the wanted family; the
+		// tallies are summed serially in run order.
+		hits := make([]*core.Loop, runs)
+		campaign.Sweep(c.Opts.Workers, runs, func(i int) {
+			a := core.Analyze(campaign.Simulate(uesim.Config{
 				Op: op, Field: dep.Field, Cluster: cl,
 				Duration: 4 * time.Minute,
 				Seed:     c.Opts.Seed*91 + int64(i),
 				Fixes:    fixes,
-			})
-			a := core.Analyze(trace.FromLog(res.Log))
+			}))
 			for li, loop := range a.Loops {
-				if !want(a.Subtypes[li]) {
-					continue
+				if want(a.Subtypes[li]) {
+					hits[i] = loop
+					break
 				}
-				loops++
-				for _, cm := range loop.Cycles() {
-					offSeconds += cm.Off.Seconds()
-				}
-				break
+			}
+		})
+		for _, loop := range hits {
+			if loop == nil {
+				continue
+			}
+			loops++
+			for _, cm := range loop.Cycles() {
+				offSeconds += cm.Off.Seconds()
 			}
 		}
 		return

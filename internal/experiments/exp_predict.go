@@ -9,7 +9,6 @@ import (
 	"github.com/mssn/loopscope/internal/geo"
 	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/stats"
-	"github.com/mssn/loopscope/internal/trace"
 	"github.com/mssn/loopscope/internal/uesim"
 	"github.com/mssn/loopscope/internal/viz"
 )
@@ -157,28 +156,29 @@ func usageTransect(c *Context) (pgaps, usages []float64) {
 	}
 
 	const points, runs = 14, 4
-	for i := 0; i < points; i++ {
-		t := -0.4 + 1.8*float64(i)/float64(points-1)
-		p := geoLerp(cl.Loc, dir, t)
-		used := 0
-		for ri := 0; ri < runs; ri++ {
-			res := uesim.Run(uesim.Config{
-				Op: op, Field: dep.Field, Cluster: cl, Loc: p,
-				Duration: 90 * time.Second,
-				Seed:     c.Opts.Seed*271 + int64(i)*37 + int64(ri),
-			})
-			tl := trace.FromLog(res.Log)
-			for _, s := range tl.Steps {
-				if s.Set.MCG != nil {
-					if s.Set.MCG.Primary.PCI == targetPCI {
-						used++
-					}
-					break
-				}
+	transect := make([]geo.Point, points)
+	for i := range transect {
+		transect[i] = geoLerp(cl.Loc, dir, -0.4+1.8*float64(i)/float64(points-1))
+	}
+	// One job per (point, run): does the run first anchor on the
+	// target group?
+	used := make([]bool, points*runs)
+	campaign.Sweep(c.Opts.Workers, len(used), func(k int) {
+		tl := campaign.Simulate(uesim.Config{
+			Op: op, Field: dep.Field, Cluster: cl, Loc: transect[k/runs],
+			Duration: 90 * time.Second,
+			Seed:     c.Opts.Seed*271 + int64(k/runs)*37 + int64(k%runs),
+		})
+		for _, s := range tl.Steps {
+			if s.Set.MCG != nil {
+				used[k] = s.Set.MCG.Primary.PCI == targetPCI
+				break
 			}
 		}
+	})
+	for i, p := range transect {
 		pgaps = append(pgaps, targetGap(p))
-		usages = append(usages, float64(used)/runs)
+		usages = append(usages, float64(countTrue(used[i*runs:][:runs]))/runs)
 	}
 	return pgaps, usages
 }

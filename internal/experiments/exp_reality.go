@@ -184,23 +184,30 @@ func Fig10(c *Context) *Result {
 // records to measure per-cycle ON/OFF speeds (Fig. 11 needs speeds,
 // which the main study skips for memory).
 func speedStudy(c *Context, op string) []throughput.CycleSpeed {
-	st := c.Study()
-	var out []throughput.CycleSpeed
-	seed := c.Opts.Seed
-	for _, rec := range st.Records(op) {
-		if !rec.HasLoop() {
-			continue
+	var looping []*campaign.Record
+	for _, rec := range c.Study().Records(op) {
+		if rec.HasLoop() {
+			looping = append(looping, rec)
 		}
-		seed++
-		pol := opByName(op)
-		samples := throughput.Generate(rec.Timeline, pol, seed)
+	}
+	pol := opByName(op)
+	// The k-th looping record (counting from 1) draws its speed series
+	// from seed Seed+k.
+	perRec := make([][]throughput.CycleSpeed, len(looping))
+	campaign.Sweep(c.Opts.Workers, len(looping), func(j int) {
+		rec := looping[j]
+		samples := throughput.Generate(rec.Timeline, pol, c.Opts.Seed+int64(j)+1)
 		for _, loop := range rec.Analysis.Loops {
 			var cycles []throughput.Cycle
 			for _, cm := range loop.Cycles() {
 				cycles = append(cycles, throughput.Cycle{Start: cm.Start, Total: cm.Cycle()})
 			}
-			out = append(out, throughput.CycleSpeeds(samples, rec.Timeline, cycles)...)
+			perRec[j] = append(perRec[j], throughput.CycleSpeeds(samples, rec.Timeline, cycles)...)
 		}
+	})
+	var out []throughput.CycleSpeed
+	for _, cs := range perRec {
+		out = append(out, cs...)
 	}
 	return out
 }

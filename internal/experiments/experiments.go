@@ -193,6 +193,17 @@ func pct(v float64) string { return fmt.Sprintf("%5.1f%%", 100*v) }
 // durS formats a duration in seconds with one decimal.
 func durS(d time.Duration) string { return fmt.Sprintf("%.1fs", d.Seconds()) }
 
+// countTrue counts the set flags of a sweep's per-run results.
+func countTrue(flags []bool) int {
+	n := 0
+	for _, f := range flags {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
 // sortedKeys returns map keys in sorted order for stable output.
 func sortedKeys(m map[string]float64) []string {
 	keys := make([]string, 0, len(m))
