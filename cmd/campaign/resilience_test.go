@@ -142,7 +142,19 @@ func TestSIGTERMKillAndResume(t *testing.T) {
 			if err := child.Start(); err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(150 * time.Millisecond)
+			// Signal only once the child has created its journal: it does
+			// so after installing its SIGTERM handler, so the signal is
+			// then caught, never the default kill.
+			for deadline := time.Now().Add(time.Minute); ; time.Sleep(2 * time.Millisecond) {
+				if _, err := os.Stat(ckpt); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					_ = child.Process.Kill()
+					_ = child.Wait()
+					t.Fatalf("child never created its journal; stderr:\n%s", childErr.String())
+				}
+			}
 			_ = child.Process.Signal(syscall.SIGTERM)
 			err := child.Wait()
 			switch code := child.ProcessState.ExitCode(); code {

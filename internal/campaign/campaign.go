@@ -63,11 +63,10 @@ type Options struct {
 	// MaxRetries bounds the retries of a failed run (default
 	// DefaultMaxRetries; negative disables retries).
 	MaxRetries int
-	// Workers bounds the worker pools: RunArea's, and the Sweep that
-	// DenseStudy and the experiment generators run their simulation
-	// sweeps on. 0 means one worker per CPU. Record order and content,
-	// dense points and generator output are identical at any worker
-	// count.
+	// Workers bounds the one Sweep pool that the study's areas,
+	// DenseStudy and the experiment generators run their simulations
+	// on. 0 means one worker per CPU. Record order and content, dense
+	// points and generator output are identical at any worker count.
 	Workers int
 	// RunTimeout, when positive, bounds each run attempt's wall-clock
 	// time: an attempt that exceeds it aborts between events and
@@ -83,13 +82,11 @@ type Options struct {
 	// Checkpoint, when non-empty, is the path of the durable run
 	// journal (see internal/checkpoint and docs/RESILIENCE.md): every
 	// completed run appends one checksummed entry keyed by its
-	// deterministic identity, and a later RunContext with Resume set
-	// replays the journal to skip finished runs.
+	// deterministic identity, and a later Resume replays the journal to
+	// skip finished runs. RunContext refuses a journal that already
+	// holds runs, so two studies cannot silently interleave into one
+	// file.
 	Checkpoint string
-	// Resume permits RunContext to replay an existing non-empty
-	// journal at Checkpoint. Without it a pre-populated journal is an
-	// error, so two studies cannot silently interleave into one file.
-	Resume bool
 	// Sink, when non-nil, additionally receives every completed record
 	// in deterministic order as the study executes (see Sink).
 	Sink Sink
@@ -291,35 +288,7 @@ func Run(opts Options) *Study {
 	return st
 }
 
-// RunOperator executes the study for a single operator. See Run for
-// the error contract.
-func RunOperator(op *policy.Operator, opts Options) *Study {
-	st, err := RunOperatorContext(context.Background(), op, opts)
-	if err != nil {
-		panic(fmt.Sprintf("campaign.RunOperator: %v (use RunOperatorContext to handle engine errors)", err))
-	}
-	return st
-}
-
-// RunArea executes all runs of one area. Runs are independent (each
-// derives its own seed), so they execute on a bounded worker pool; the
-// record order — and therefore every downstream aggregate — is
-// identical to the sequential execution. Checkpointing and sinks are
-// study-level concerns and are not consulted here.
-func RunArea(op *policy.Operator, spec deploy.AreaSpec, opts Options) *AreaResult {
-	opts.Checkpoint, opts.Sink = "", nil
-	r := &runner{opts: opts.withDefaults()}
-	return r.runArea(context.Background(), op, spec, true)
-}
-
-// ExecuteRun performs a single run under a background context; see
-// ExecuteRunContext.
-func ExecuteRun(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
-	locIdx, runIdx int, opts Options) *Record {
-	return ExecuteRunContext(context.Background(), op, dep, cl, locIdx, runIdx, opts)
-}
-
-// ExecuteRunContext performs a single run and post-processes it
+// ExecuteRun performs a single run under ctx and post-processes it
 // through the full analysis pipeline. A run that panics does not tear
 // down the study: the panic is captured into a failure Record (with
 // error and stack), and the run is retried — after a context-aware
@@ -329,7 +298,7 @@ func ExecuteRun(op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
 // yields a cancelled record (not the interim panic), because an
 // uninterrupted study would have retried and the panic must not be
 // checkpointed as final.
-func ExecuteRunContext(ctx context.Context, op *policy.Operator, dep *deploy.Deployment,
+func ExecuteRun(ctx context.Context, op *policy.Operator, dep *deploy.Deployment,
 	cl *deploy.Cluster, locIdx, runIdx int, opts Options) *Record {
 	opts = opts.withDefaults()
 	if ctx == nil {

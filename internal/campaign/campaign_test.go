@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"encoding/csv"
 	"math"
 	"reflect"
@@ -23,10 +24,19 @@ func smallOpts() Options {
 	return Options{Seed: 42, Duration: 240 * time.Second, RunScale: 0.5}
 }
 
+// runOneArea executes one area as a single-area study on the engine.
+func runOneArea(t *testing.T, spec deploy.AreaSpec, opts Options) *AreaResult {
+	t.Helper()
+	st, _, err := runStudy(context.Background(), opts, []deploy.AreaSpec{spec}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Areas[0]
+}
+
 func TestRunAreaBasics(t *testing.T) {
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1] // A2: 6 locations
-	res := RunArea(op, spec, smallOpts())
+	res := runOneArea(t, spec, smallOpts())
 	wantRuns := 6 * 4 // 6 locations × max(1, 8*0.5) runs
 	if len(res.Records) != wantRuns {
 		t.Fatalf("records = %d, want %d", len(res.Records), wantRuns)
@@ -176,8 +186,8 @@ func TestExecuteRunDeterministic(t *testing.T) {
 	spec := deploy.AreasFor("OPA")[0]
 	opts := smallOpts()
 	dep := deploy.Build(op, spec, opts.Seed+1)
-	a := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, opts)
-	b := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, opts)
+	a := ExecuteRun(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
+	b := ExecuteRun(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
 	if len(a.Timeline.Steps) != len(b.Timeline.Steps) {
 		t.Fatal("non-deterministic run")
 	}
@@ -194,7 +204,7 @@ func TestKeepSpeeds(t *testing.T) {
 	opts := smallOpts()
 	opts.KeepSpeeds = true
 	dep := deploy.Build(op, spec, opts.Seed+1)
-	rec := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, opts)
+	rec := ExecuteRun(context.Background(), op, dep, dep.Clusters[0], 0, 0, opts)
 	if len(rec.Speeds) == 0 {
 		t.Fatal("speeds not kept")
 	}
@@ -207,7 +217,7 @@ func TestSparseSamples(t *testing.T) {
 	op := policy.OPT()
 	opts := smallOpts()
 	st := &Study{Opts: opts}
-	st.Areas = append(st.Areas, RunArea(op, deploy.AreasFor("OPT")[1], opts))
+	st.Areas = append(st.Areas, runOneArea(t, deploy.AreasFor("OPT")[1], opts))
 	samples := SparseSamples(st, op, true)
 	if len(samples) != 6 {
 		t.Fatalf("samples = %d, want 6 locations", len(samples))
@@ -223,10 +233,9 @@ func TestSparseSamples(t *testing.T) {
 }
 
 func TestCSVExport(t *testing.T) {
-	op := policy.OPT()
 	opts := smallOpts()
 	st := &Study{Opts: opts}
-	st.Areas = append(st.Areas, RunArea(op, deploy.AreasFor("OPT")[1], opts))
+	st.Areas = append(st.Areas, runOneArea(t, deploy.AreasFor("OPT")[1], opts))
 
 	var runs, loops, locs strings.Builder
 	if err := st.WriteRunsCSV(&runs); err != nil {
@@ -317,9 +326,8 @@ func TestRunScaleValidation(t *testing.T) {
 	if o := (Options{}).withDefaults(); o.RunScale != 1 {
 		t.Errorf("zero RunScale should default to 1, got %v", o.RunScale)
 	}
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1] // A2: 6 locations
-	res := RunArea(op, spec, Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1})
+	res := runOneArea(t, spec, Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1})
 	if len(res.Records) != 6 {
 		t.Errorf("invalid RunScale area = %d records, want 1 per location (6)", len(res.Records))
 	}
@@ -334,10 +342,9 @@ func TestRunPanicIsolated(t *testing.T) {
 	}
 	defer func() { testHookPanic = nil }()
 
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	opts := Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1}
-	res := RunArea(op, spec, opts)
+	res := runOneArea(t, spec, opts)
 
 	if got := res.Failures(); got != 1 {
 		t.Fatalf("Failures() = %d, want 1", got)
@@ -380,7 +387,7 @@ func TestRunRetryRecovers(t *testing.T) {
 
 	op := policy.OPT()
 	dep := deploy.Build(op, deploy.AreasFor("OPT")[1], 43)
-	rec := ExecuteRun(op, dep, dep.Clusters[0], 0, 0, Options{Seed: 42, Duration: 30 * time.Second})
+	rec := ExecuteRun(context.Background(), op, dep, dep.Clusters[0], 0, 0, Options{Seed: 42, Duration: 30 * time.Second})
 	if rec.Failed() {
 		t.Fatalf("retry should have recovered: %s", rec.Err)
 	}
@@ -397,7 +404,6 @@ func TestRunRetryRecovers(t *testing.T) {
 // same order, as a forced single-worker execution — including when
 // every run streams through fault injection.
 func TestRunAreaParallelEqualsSequential(t *testing.T) {
-	op := policy.OPA()
 	spec := deploy.AreasFor("OPA")[0]
 	rates := faults.Profile(0.05)
 	cases := []struct {
@@ -410,9 +416,9 @@ func TestRunAreaParallelEqualsSequential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{Seed: 42, Duration: 90 * time.Second, RunScale: 0.25, FaultRates: tc.rates}
-			par := RunArea(op, spec, opts)
+			par := runOneArea(t, spec, opts)
 			opts.Workers = 1
-			seq := RunArea(op, spec, opts)
+			seq := runOneArea(t, spec, opts)
 			if len(par.Records) != len(seq.Records) {
 				t.Fatalf("parallel produced %d records, sequential %d", len(par.Records), len(seq.Records))
 			}
@@ -431,7 +437,6 @@ func TestRunAreaParallelEqualsSequential(t *testing.T) {
 // study output. The record slices — timelines, loops, salvage reports,
 // speeds — must be deeply equal with metrics off and on.
 func TestMetricsParity(t *testing.T) {
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	rates := faults.Profile(0.05)
 	for _, tc := range []struct {
@@ -443,12 +448,12 @@ func TestMetricsParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := Options{Seed: 42, Duration: 60 * time.Second, RunScale: -1, FaultRates: tc.rates}
-			plain := RunArea(op, spec, base)
+			plain := runOneArea(t, spec, base)
 
 			observed := base
 			reg := obs.NewRegistry()
 			observed.Metrics = reg
-			withMetrics := RunArea(op, spec, observed)
+			withMetrics := runOneArea(t, spec, observed)
 
 			if len(plain.Records) != len(withMetrics.Records) {
 				t.Fatalf("record counts differ: %d vs %d", len(plain.Records), len(withMetrics.Records))
@@ -488,7 +493,6 @@ func TestMetricsParity(t *testing.T) {
 // TestMetricsPanicCounter: an induced panic inside a run increments
 // campaign.panics without changing the retry/failure semantics.
 func TestMetricsPanicCounter(t *testing.T) {
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	testHookPanic = func(area string, locIdx, runIdx, attempt int) bool {
 		return locIdx == 1 && runIdx == 0 && attempt == 0
@@ -496,7 +500,7 @@ func TestMetricsPanicCounter(t *testing.T) {
 	defer func() { testHookPanic = nil }()
 	reg := obs.NewRegistry()
 	opts := Options{Seed: 42, Duration: 30 * time.Second, RunScale: -1, Metrics: reg}
-	res := RunArea(op, spec, opts)
+	res := runOneArea(t, spec, opts)
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}
@@ -516,10 +520,9 @@ func TestMetricsPanicCounter(t *testing.T) {
 // salvage reports (and possibly failure records) instead of panicking.
 func TestRunAreaWithFaultInjection(t *testing.T) {
 	rates := faults.Profile(0.05)
-	op := policy.OPT()
 	spec := deploy.AreasFor("OPT")[1]
 	opts := Options{Seed: 42, Duration: 60 * time.Second, RunScale: -1, FaultRates: &rates}
-	res := RunArea(op, spec, opts)
+	res := runOneArea(t, spec, opts)
 
 	if len(res.Records) != 6 {
 		t.Fatalf("records = %d, want 6", len(res.Records))

@@ -11,7 +11,6 @@ import (
 	"github.com/mssn/loopscope/internal/core"
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/faults"
-	"github.com/mssn/loopscope/internal/policy"
 	"github.com/mssn/loopscope/internal/sig"
 	"github.com/mssn/loopscope/internal/throughput"
 	"github.com/mssn/loopscope/internal/trace"
@@ -43,7 +42,7 @@ func TestCodecRealRecords(t *testing.T) {
 	opts := Options{Seed: 42, Duration: 240 * time.Second, RunScale: 0.5,
 		KeepSpeeds: true, FaultRates: &rates}
 	spec := areaSpec(t, "A1")
-	res := RunArea(policy.OPT(), spec, opts)
+	res := runOneArea(t, spec, opts)
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}

@@ -21,7 +21,7 @@ import (
 
 // Fixture is one reproducible study configuration under test. Opts
 // must not carry Checkpoint, Sink or CrashAfter — the harness owns
-// those knobs.
+// those knobs, and resumes through campaign.ResumeOperator.
 type Fixture struct {
 	Op   *policy.Operator
 	Opts campaign.Options
@@ -76,7 +76,7 @@ func (f Fixture) resumeWith(o campaign.Options, path string) (*campaign.Study, *
 
 // SameRecords reports whether two studies hold deep-equal areas —
 // deployments, record order and record content. Opts are excluded:
-// a resumed study legitimately differs in Checkpoint/Resume/Workers.
+// a resumed study legitimately differs in Checkpoint and Workers.
 func SameRecords(want, got *campaign.Study) error {
 	if len(want.Areas) != len(got.Areas) {
 		return fmt.Errorf("crashtest: %d areas vs %d", len(want.Areas), len(got.Areas))

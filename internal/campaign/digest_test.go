@@ -8,11 +8,10 @@ import (
 
 	"github.com/mssn/loopscope/internal/deploy"
 	"github.com/mssn/loopscope/internal/faults"
-	"github.com/mssn/loopscope/internal/policy"
 )
 
 // recordDigest is the SHA-256 over the canonical wire form of every
-// record of one RunArea, in record order.
+// record of one area, in record order.
 func recordDigest(t *testing.T, recs []*Record) string {
 	t.Helper()
 	h := sha256.New()
@@ -47,20 +46,14 @@ func TestRecordDigests(t *testing.T) {
 		{"faulted/seed7919", 7919, &rates, "a8fa71b6bc92ae8929f392ea15340c110139426e9f1fd65cb653afa8c8175afb"},
 	}
 	// One SA and one NSA operator, so runs of both engines are pinned.
-	areas := []struct {
-		op   *policy.Operator
-		spec deploy.AreaSpec
-	}{
-		{policy.OPT(), deploy.AreasFor("OPT")[1]},
-		{policy.OPA(), deploy.AreasFor("OPA")[0]},
-	}
+	areas := []deploy.AreaSpec{deploy.AreasFor("OPT")[1], deploy.AreasFor("OPA")[0]}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			h := sha256.New()
-			for _, a := range areas {
+			for _, spec := range areas {
 				opts := Options{Seed: c.seed, Duration: 240 * time.Second, RunScale: 0.25,
 					KeepSpeeds: true, FaultRates: c.faults}
-				h.Write([]byte(recordDigest(t, RunArea(a.op, a.spec, opts).Records)))
+				h.Write([]byte(recordDigest(t, runOneArea(t, spec, opts).Records)))
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 				t.Errorf("record digest = %s, want %s", got, c.want)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -56,14 +55,14 @@ func runKey(op, area string, locIdx, runIdx int, seed int64) string {
 }
 
 // runner is the per-study engine state shared by the areas: the
-// checkpoint journal with its replay map, the sinks, and the crash
+// checkpoint journal with its replay map, the sink, and the crash
 // fault point. The study context is not stored here — it is threaded
 // through runArea/executeJob as a parameter, so every call site states
 // which cancellation scope it runs under.
 type runner struct {
-	cancel context.CancelCauseFunc // nil for bare RunArea/wrapper use
+	cancel context.CancelCauseFunc
 	opts   Options
-	sinks  []Sink
+	resume bool // a populated journal may be replayed
 	jr     *checkpoint.Journal
 	done   map[string]*Record // journal replay: run key → decoded record
 
@@ -91,9 +90,7 @@ func (r *runner) failLocked(err error) {
 		r.failErr = err
 	}
 	r.stopDeliver = true
-	if r.cancel != nil {
-		r.cancel(err)
-	}
+	r.cancel(err)
 }
 
 // err returns the engine's terminal error: a journal/sink failure, the
@@ -118,6 +115,9 @@ func (r *runner) err(ctx context.Context) error {
 // fingerprint.
 func (r *runner) openJournal() (*checkpoint.Salvage, error) {
 	if r.opts.Checkpoint == "" {
+		if r.resume {
+			return nil, errors.New("campaign: resume needs the path of the checkpoint journal to replay")
+		}
 		return nil, nil
 	}
 	jr, entries, sal, err := checkpoint.Open(r.opts.Checkpoint)
@@ -136,8 +136,8 @@ func (r *runner) openJournal() (*checkpoint.Salvage, error) {
 		r.jr = jr
 		return sal, nil
 	}
-	if !r.opts.Resume {
-		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s already holds %d entries; set Options.Resume (flag -resume) to continue it, or remove the file",
+	if !r.resume {
+		return nil, failClosing(fmt.Errorf("campaign: checkpoint journal %s already holds %d entries; continue it with Resume (flag -resume), or remove the file",
 			r.opts.Checkpoint, len(entries)))
 	}
 	if entries[0].Key != metaKey {
@@ -176,7 +176,7 @@ func mustJSON(v any) string {
 }
 
 // delivery is a per-area reorder window: records complete in any order
-// on the worker pool but sinks must observe slot order.
+// on the worker pool but the sink must observe slot order.
 type delivery struct {
 	next    int
 	pending map[int]*deliveryItem
@@ -189,7 +189,7 @@ type deliveryItem struct {
 
 // complete files one finished run: it is checkpointed immediately (in
 // completion order — the keyed replay makes order irrelevant) and
-// delivered to the sinks in slot order through the reorder window.
+// delivered to the sink in slot order through the reorder window.
 //
 // locks: mu
 func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
@@ -203,7 +203,7 @@ func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
 			}
 		}
 	}
-	if r.stopDeliver || len(r.sinks) == 0 {
+	if r.stopDeliver || r.opts.Sink == nil {
 		return
 	}
 	if d.pending == nil {
@@ -223,11 +223,9 @@ func (r *runner) complete(d *delivery, slot int, key string, rec *Record) {
 			r.stopDeliver = true
 			return
 		}
-		for _, s := range r.sinks {
-			if err := s.Record(it.rec); err != nil {
-				r.failLocked(fmt.Errorf("campaign: sink: %w", err))
-				return
-			}
+		if err := r.opts.Sink.Record(it.rec); err != nil {
+			r.failLocked(fmt.Errorf("campaign: sink: %w", err))
+			return
 		}
 		d.next++
 	}
@@ -252,98 +250,42 @@ func (r *runner) appendLocked(key string, rec *Record) error {
 	if r.opts.CrashAfter > 0 && r.appended >= r.opts.CrashAfter && !r.crashed {
 		r.crashed = true
 		r.stopDeliver = true
-		if r.cancel != nil {
-			r.cancel(ErrInjectedCrash)
-		}
+		r.cancel(ErrInjectedCrash)
 		r.failErr = ErrInjectedCrash
 	}
 	return nil
 }
 
-// beginArea announces the area to every sink.
-//
-// locks: mu
-func (r *runner) beginArea(spec deploy.AreaSpec, dep *deploy.Deployment) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopDeliver {
-		return
-	}
-	for _, s := range r.sinks {
-		if err := s.BeginArea(spec, dep); err != nil {
-			r.failLocked(fmt.Errorf("campaign: sink: %w", err))
-			return
-		}
-	}
-}
-
-// runArea executes all runs of one area on the worker pool; see
-// RunArea for the ordering contract. With retain false the records are
-// streamed to the sinks and released instead of materialized.
-func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.AreaSpec, retain bool) *AreaResult {
+// runArea executes all runs of one area on the Sweep pool. Runs are
+// independent (each derives its own seed), and the records come back
+// in slot order — locations in order, run index in order — so every
+// downstream aggregate is identical to a sequential execution. Once
+// ctx is cancelled no further run starts: the slots left unstarted
+// stay nil and are dropped, and the runs in flight abort between
+// events.
+func (r *runner) runArea(ctx context.Context, op *policy.Operator, spec deploy.AreaSpec) *AreaResult {
 	opts := r.opts
 	dep := deploy.Build(op, spec, opts.Seed+1)
-	res := &AreaResult{Spec: spec, Dep: dep}
-	r.beginArea(spec, dep)
 	runs := int(float64(spec.Runs)*opts.RunScale + 0.5)
 	if runs < 1 {
 		runs = 1
 	}
-	type job struct{ li, ri, slot int }
-	var jobs []job
-	for li := range dep.Clusters {
-		for ri := 0; ri < runs; ri++ {
-			jobs = append(jobs, job{li, ri, len(jobs)})
-		}
-	}
-	if retain {
-		res.Records = make([]*Record, len(jobs))
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	slots := make([]*Record, len(dep.Clusters)*runs) // slot = location·runs + run
 	d := &delivery{}
-	ch := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range ch {
-				key := runKey(op.Name, spec.ID, j.li, j.ri, opts.Seed)
-				rec := r.executeJob(ctx, op, dep, dep.Clusters[j.li], j.li, j.ri, key)
-				if retain {
-					res.Records[j.slot] = rec
-				}
-				r.complete(d, j.slot, key, rec)
-			}
-		}()
-	}
-dispatch:
-	for _, j := range jobs {
-		select {
-		case ch <- j:
-		case <-ctx.Done():
-			break dispatch // graceful drain: stop handing out work
+	Sweep(opts.Workers, len(slots), func(i int) {
+		if ctx.Err() != nil {
+			return // graceful drain: start no more runs
 		}
-	}
-	close(ch)
-	wg.Wait()
-	if retain {
-		// Undispatched jobs form a suffix of nil slots; trim them so a
-		// cancelled study still satisfies the non-nil record invariant.
-		k := len(res.Records)
-		for k > 0 && res.Records[k-1] == nil {
-			k--
+		li, ri := i/runs, i%runs
+		key := runKey(op.Name, spec.ID, li, ri, opts.Seed)
+		slots[i] = r.executeJob(ctx, op, dep, dep.Clusters[li], li, ri, key)
+		r.complete(d, i, key, slots[i])
+	})
+	res := &AreaResult{Spec: spec, Dep: dep, Records: slots[:0]}
+	for _, rec := range slots {
+		if rec != nil {
+			res.Records = append(res.Records, rec)
 		}
-		res.Records = res.Records[:k]
 	}
 	return res
 }
@@ -359,24 +301,21 @@ func (r *runner) executeJob(ctx context.Context, op *policy.Operator, dep *deplo
 		}
 		return rec
 	}
-	return ExecuteRunContext(ctx, op, dep, cl, locIdx, runIdx, r.opts)
+	return ExecuteRun(ctx, op, dep, cl, locIdx, runIdx, r.opts)
 }
 
 // runStudy drives the whole study through a runner: journal replay,
-// area execution, sink delivery.
+// area execution, sink delivery. resume permits replaying a populated
+// journal, and requires one to be named.
 func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
-	retain bool, extra Sink) (st *Study, sal *checkpoint.Salvage, rerr error) {
+	resume bool) (st *Study, sal *checkpoint.Salvage, rerr error) {
 	opts = opts.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &runner{opts: opts}
-	if opts.Sink != nil {
-		r.sinks = append(r.sinks, opts.Sink)
-	}
-	if extra != nil && extra != opts.Sink {
-		r.sinks = append(r.sinks, extra)
-	}
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	r := &runner{cancel: cancel, opts: opts, resume: resume}
 	sal, err := r.openJournal()
 	if err != nil {
 		return nil, nil, err
@@ -391,16 +330,13 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 			}
 		}()
 	}
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	r.cancel = cancel
 	st = &Study{Opts: opts}
 	for _, spec := range specs {
 		if r.err(cctx) != nil {
 			break
 		}
 		op := policy.ByName(spec.Operator)
-		st.Areas = append(st.Areas, r.runArea(cctx, op, spec, retain))
+		st.Areas = append(st.Areas, r.runArea(cctx, op, spec))
 	}
 	if r.jr != nil {
 		if err := r.jr.Sync(); err != nil && r.err(cctx) == nil {
@@ -414,15 +350,16 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 // checkpoint, sink, timeout and crash-point options. On cancellation
 // it drains gracefully — in-flight runs abort between events, finished
 // work stays checkpointed — and returns the partial study together
-// with the cancellation cause.
+// with the cancellation cause. A checkpoint journal that already holds
+// runs is refused; Resume continues it.
 func RunContext(ctx context.Context, opts Options) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.Areas(), true, nil)
+	st, _, err := runStudy(ctx, opts, deploy.Areas(), false)
 	return st, err
 }
 
 // RunOperatorContext is RunContext over a single operator's areas.
 func RunOperatorContext(ctx context.Context, op *policy.Operator, opts Options) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.AreasFor(op.Name), true, nil)
+	st, _, err := runStudy(ctx, opts, deploy.AreasFor(op.Name), false)
 	return st, err
 }
 
@@ -431,25 +368,14 @@ func RunOperatorContext(ctx context.Context, op *policy.Operator, opts Options) 
 // is salvaged first if damaged (the returned report says what was
 // discarded), and the resulting study — records, aggregates, rendered
 // experiments — is byte-identical to an uninterrupted run with the
-// same options at any worker count.
+// same options at any worker count. An empty path is an error.
 func Resume(ctx context.Context, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
 	opts.Checkpoint = path
-	opts.Resume = true
-	return runStudy(ctx, opts, deploy.Areas(), true, nil)
+	return runStudy(ctx, opts, deploy.Areas(), true)
 }
 
 // ResumeOperator is Resume over a single operator's areas.
 func ResumeOperator(ctx context.Context, op *policy.Operator, opts Options, path string) (*Study, *checkpoint.Salvage, error) {
 	opts.Checkpoint = path
-	opts.Resume = true
-	return runStudy(ctx, opts, deploy.AreasFor(op.Name), true, nil)
-}
-
-// RunSink streams the study into sink without materializing records:
-// each record is released once delivered, so memory stays flat no
-// matter the study size. The returned study carries the area specs and
-// deployments but no records.
-func RunSink(ctx context.Context, opts Options, sink Sink) (*Study, error) {
-	st, _, err := runStudy(ctx, opts, deploy.Areas(), false, sink)
-	return st, err
+	return runStudy(ctx, opts, deploy.AreasFor(op.Name), true)
 }

@@ -1,10 +1,6 @@
 package campaign
 
-import (
-	"io"
-
-	"github.com/mssn/loopscope/internal/deploy"
-)
+import "io"
 
 // Sink consumes study records as they complete, so a campaign can
 // stream its results out instead of materializing them. The engine
@@ -16,43 +12,12 @@ import (
 // or injected crash, delivery stops entirely and the partial output is
 // superseded by the resumed study's.
 //
-// Sink methods are always called from one goroutine at a time; an
-// error aborts the study.
+// Record is always called from one goroutine at a time; an error
+// aborts the study.
 type Sink interface {
-	// BeginArea announces the next area before any of its records.
-	BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error
-	// Record delivers one completed run record. The engine does not
-	// retain the record afterwards (streaming callers own it).
+	// Record delivers one completed run record. Area boundaries are
+	// implicit in the records' own Op/Area fields.
 	Record(rec *Record) error
-}
-
-// StudySink materializes the classic in-memory Study from the record
-// stream; it is the adapter proving that streaming loses nothing.
-// RunContext uses one internally, so Run's result is by construction
-// identical to what any other Sink observes.
-type StudySink struct {
-	areas []*AreaResult
-}
-
-// NewStudySink returns an empty in-memory sink.
-func NewStudySink() *StudySink { return &StudySink{} }
-
-// BeginArea implements Sink.
-func (s *StudySink) BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error {
-	s.areas = append(s.areas, &AreaResult{Spec: spec, Dep: dep})
-	return nil
-}
-
-// Record implements Sink.
-func (s *StudySink) Record(rec *Record) error {
-	a := s.areas[len(s.areas)-1]
-	a.Records = append(a.Records, rec)
-	return nil
-}
-
-// Study assembles the accumulated areas into a Study.
-func (s *StudySink) Study(opts Options) *Study {
-	return &Study{Opts: opts.withDefaults(), Areas: s.areas}
 }
 
 // JSONLSink streams each record as one line of codec JSON (see
@@ -66,10 +31,6 @@ type JSONLSink struct {
 
 // NewJSONLSink returns a sink writing records to w.
 func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// BeginArea implements Sink; area boundaries are implicit in the
-// records' own Op/Area fields, so nothing is written.
-func (s *JSONLSink) BeginArea(spec deploy.AreaSpec, dep *deploy.Deployment) error { return nil }
 
 // Record implements Sink.
 func (s *JSONLSink) Record(rec *Record) error {

@@ -14,7 +14,7 @@
 //     in the supported text format.
 //
 //   - Simulation: a full RRC-procedure-level simulator of 5G SA and 5G
-//     NSA radio access (SimulateRun, RunStudy) over a synthetic radio
+//     NSA radio access (SimulateRun, RunStudyContext) over a synthetic radio
 //     environment with the three operator policy profiles of the study,
 //     used to regenerate every experiment of the paper.
 //
@@ -287,9 +287,6 @@ func BuildDeployment(op *Operator, area AreaSpec, seed int64) *Deployment {
 // capture; analyze it with AnalyzeLog.
 func SimulateRun(cfg RunConfig) *RunResult { return uesim.Run(cfg) }
 
-// RunStudy executes the full measurement study across all areas.
-func RunStudy(opts StudyOptions) *Study { return campaign.Run(opts) }
-
 // Study resilience (see docs/RESILIENCE.md). A study can stream its
 // records into a StudySink as it executes, journal every completed run
 // into a checkpoint file, and — after a crash or cancellation — resume
@@ -308,10 +305,12 @@ type (
 // closed; the caller owns its lifecycle.
 func NewJSONLStudySink(w io.Writer) StudySink { return campaign.NewJSONLSink(w) }
 
-// RunStudyContext is RunStudy under a context, honouring the
-// checkpoint, sink and per-run timeout options. On cancellation it
-// drains gracefully — in-flight runs abort, finished work stays
-// checkpointed — and returns the partial study with the cause.
+// RunStudyContext executes the full measurement study across all
+// areas under a context, honouring the checkpoint, sink and per-run
+// timeout options. On cancellation it drains gracefully — in-flight
+// runs abort, finished work stays checkpointed — and returns the
+// partial study with the cause. A checkpoint journal that already
+// holds runs is refused; ResumeStudy continues it.
 func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 	return campaign.RunContext(ctx, opts)
 }
@@ -320,7 +319,7 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 // path: journaled runs are replayed instead of executed, a damaged
 // journal is salvaged first (the report says what was discarded), and
 // the result is byte-identical to an uninterrupted run with the same
-// options at any worker count.
+// options at any worker count. An empty path is an error.
 func ResumeStudy(ctx context.Context, opts StudyOptions, path string) (*Study, *CheckpointSalvage, error) {
 	return campaign.Resume(ctx, opts, path)
 }
@@ -365,19 +364,6 @@ func FitModel(samples []TrainingSample, feature FeatureKind) *Model {
 	return core.Fit(samples, feature)
 }
 
-// Experiment regenerates one of the paper's tables or figures by ID
-// (e.g. "fig6", "table5"); see ExperimentIDs for the catalogue. The
-// options scale the underlying study; the zero value reproduces the
-// full-size experiment.
-func Experiment(id string, opts StudyOptions) ([]string, map[string]float64, bool) {
-	g, ok := experiments.ByID(id)
-	if !ok {
-		return nil, nil, false
-	}
-	res := g.Run(experiments.NewContext(opts))
-	return res.Lines, res.Values, true
-}
-
 // ExperimentResult is one regenerated table or figure.
 type ExperimentResult struct {
 	ID     string
@@ -386,27 +372,13 @@ type ExperimentResult struct {
 	Values map[string]float64
 }
 
-// Experiments regenerates several tables/figures sharing one underlying
-// study dataset (much cheaper than repeated Experiment calls). Unknown
-// IDs are skipped. Passing nil runs everything in presentation order.
+// Experiments regenerates tables/figures of the paper by ID (e.g.
+// "fig6", "table5"; see ExperimentIDs for the catalogue), sharing one
+// underlying study dataset. The options scale that study; the zero
+// value reproduces the full-size experiments. Unknown IDs are skipped.
+// Passing nil runs everything in presentation order.
 func Experiments(ids []string, opts StudyOptions) []ExperimentResult {
-	ctx := experiments.NewContext(opts)
-	var gens []experiments.Generator
-	if ids == nil {
-		gens = experiments.All()
-	} else {
-		for _, id := range ids {
-			if g, ok := experiments.ByID(id); ok {
-				gens = append(gens, g)
-			}
-		}
-	}
-	out := make([]ExperimentResult, 0, len(gens))
-	for _, g := range gens {
-		res := g.Run(ctx)
-		out = append(out, ExperimentResult{ID: g.ID, Title: g.Title, Lines: res.Lines, Values: res.Values})
-	}
-	return out
+	return runExperiments(ids, experiments.NewContext(opts))
 }
 
 // ExperimentsWithStudy is Experiments over an already-materialized
@@ -414,15 +386,19 @@ func Experiments(ids []string, opts StudyOptions) []ExperimentResult {
 // tables and figures render without re-running it. Output is identical
 // to Experiments with the study's options.
 func ExperimentsWithStudy(ids []string, st *Study) []ExperimentResult {
-	ctx := experiments.NewContextWithStudy(st)
+	return runExperiments(ids, experiments.NewContextWithStudy(st))
+}
+
+// runExperiments runs the generators selected by ids (nil: all, in
+// presentation order) against ctx.
+func runExperiments(ids []string, ctx *experiments.Context) []ExperimentResult {
 	var gens []experiments.Generator
 	if ids == nil {
 		gens = experiments.All()
-	} else {
-		for _, id := range ids {
-			if g, ok := experiments.ByID(id); ok {
-				gens = append(gens, g)
-			}
+	}
+	for _, id := range ids {
+		if g, ok := experiments.ByID(id); ok {
+			gens = append(gens, g)
 		}
 	}
 	out := make([]ExperimentResult, 0, len(gens))

@@ -1,6 +1,7 @@
 package loopscope_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -102,12 +103,12 @@ func TestFacadeExperiments(t *testing.T) {
 		t.Fatalf("experiment catalogue = %d entries", len(ids))
 	}
 	opts := loopscope.StudyOptions{Seed: 1, Duration: 90 * time.Second, RunScale: 0.25}
-	lines, values, ok := loopscope.Experiment("table4", opts)
-	if !ok || len(lines) == 0 || values["models"] != 6 {
-		t.Errorf("table4 = %v %v %v", ok, lines, values)
+	one := loopscope.Experiments([]string{"table4"}, opts)
+	if len(one) != 1 || len(one[0].Lines) == 0 || one[0].Values["models"] != 6 {
+		t.Errorf("table4 = %+v", one)
 	}
-	if _, _, ok := loopscope.Experiment("nope", opts); ok {
-		t.Error("unknown experiment should fail")
+	if got := loopscope.Experiments([]string{"nope"}, opts); len(got) != 0 {
+		t.Errorf("unknown experiment should be skipped, got %+v", got)
 	}
 	batch := loopscope.Experiments([]string{"table4", "fig13"}, opts)
 	if len(batch) != 2 || batch[0].ID != "table4" || batch[1].ID != "fig13" {
@@ -117,7 +118,10 @@ func TestFacadeExperiments(t *testing.T) {
 
 func TestFacadeCSVExport(t *testing.T) {
 	opts := loopscope.StudyOptions{Seed: 5, Duration: 90 * time.Second, RunScale: 0.2}
-	st := loopscope.RunStudy(opts)
+	st, err := loopscope.RunStudyContext(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var runs strings.Builder
 	if err := loopscope.ExportStudyCSV(st, &runs, nil, nil); err != nil {
 		t.Fatal(err)
