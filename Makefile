@@ -65,11 +65,13 @@ test:
 # crash-resume runs the resilience suite: checkpoint journal salvage,
 # the every-interruption-point resume property, the engine's mid-area
 # drain, the refusal to resume without a journal path, and the
-# cmd/campaign SIGTERM kill-and-resume e2e against the pinned goldens.
+# cmd/campaign SIGTERM kill-and-resume e2e against the pinned goldens,
+# and the -report tests (the report renders the checkpointed or resumed
+# study, composed with -metrics and -export).
 crash-resume:
 	$(GO) test -race ./internal/checkpoint ./internal/campaign/crashtest
 	$(GO) test -race -run 'TestCancelDrainsMidArea|TestResumeRequiresPath' ./internal/campaign
-	$(GO) test -race -run 'TestCheckpointedRunMatchesGolden|TestSinkStreamsDecodableRecords|TestSIGTERMKillAndResume' ./cmd/campaign
+	$(GO) test -race -run 'TestCheckpointedRunMatchesGolden|TestSinkStreamsDecodableRecords|TestSIGTERMKillAndResume|TestReportGolden|TestReportWritesMetrics|TestReportUnknownExperiment|TestReportCheckpointResume|TestReportWithExport' ./cmd/campaign
 
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/sig

@@ -4,12 +4,18 @@
 // Usage:
 //
 //	campaign [-exp id|all] [-seed N] [-scale F] [-duration D] [-list]
+//	         [-export dir] [-report out.md]
 //	         [-checkpoint journal] [-resume] [-sink out.jsonl] [-workers N]
 //	         [-metrics out.json] [-debug-addr host:port]
 //
 // With -exp all (the default) every experiment runs in the paper's
-// presentation order, sharing one study dataset. -checkpoint journals
-// every completed run into a durable file; after a crash or a SIGTERM
+// presentation order, sharing one study dataset. The study is built
+// once and rendered to every requested artifact: -export writes it as
+// CSV tables (runs, loops, locations), -report writes the -exp
+// selection as a markdown report, and without either the selection is
+// printed to stdout. Both compose with every flag below.
+//
+// -checkpoint journals every completed run into a durable file; after a crash or a SIGTERM
 // (exit code 3) the same invocation plus -resume replays the journal
 // and continues, producing output byte-identical to an uninterrupted
 // run (see docs/RESILIENCE.md). -sink streams each run record as JSON
@@ -108,14 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "campaign: debug server on http://"+bound)
 	}
 
-	if *reportTo != "" {
-		if *ckpt != "" || *sink != "" {
-			fmt.Fprintln(stderr, "campaign: -report does not compose with -checkpoint/-sink")
-			return 2
-		}
-		return writeReport(stdout, stderr, opts, *exp, *reportTo)
-	}
-	if *exp != "all" && *export == "" {
+	if *exp != "all" {
 		if _, ok := ids[*exp]; !ok {
 			fmt.Fprintf(stderr, "campaign: unknown experiment %q (try -list)\n", *exp)
 			return 2
@@ -131,9 +130,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if code != 0 {
 		return code
 	}
-	code = render(stdout, stderr, ids, st, *exp, *export)
+	code = render(stdout, stderr, st, *exp, *export, *reportTo)
 	if code == 0 && *metrics != "" {
-		if err := writeMetrics(*metrics, reg); err != nil {
+		if err := writeFile(*metrics, reg.WriteJSON); err != nil {
 			fmt.Fprintln(stderr, "campaign:", err)
 			return 1
 		}
@@ -187,58 +186,44 @@ func buildStudy(ctx context.Context, stderr io.Writer, opts loopscope.StudyOptio
 	return st, 0
 }
 
-// render produces the selected output (CSV export, one experiment, or
-// all) from the materialized study.
-func render(stdout, stderr io.Writer, ids map[string]string, st *loopscope.Study, exp, export string) int {
+// render writes every requested artifact from the one study: the CSV
+// export and the markdown report when asked for, the selected
+// experiments on stdout otherwise.
+func render(stdout, stderr io.Writer, st *loopscope.Study, exp, export, reportTo string) int {
+	var sel []string
+	if exp != "all" {
+		sel = []string{exp}
+	}
+	if export == "" && reportTo == "" {
+		for _, res := range loopscope.ExperimentsWithStudy(sel, st) {
+			printExperiment(stdout, res.ID, res.Title, res.Lines)
+		}
+		return 0
+	}
 	if export != "" {
 		if err := exportDataset(stdout, export, st); err != nil {
 			fmt.Fprintln(stderr, "campaign:", err)
 			return 1
 		}
-		return 0
 	}
-	var sel []string
-	if exp != "all" {
-		sel = []string{exp}
-	}
-	for _, res := range loopscope.ExperimentsWithStudy(sel, st) {
-		printExperiment(stdout, res.ID, res.Title, res.Lines)
+	if reportTo != "" {
+		err := writeFile(reportTo, func(w io.Writer) error { return report.Write(w, st, sel) })
+		if err != nil {
+			fmt.Fprintln(stderr, "campaign:", err)
+			return 1
+		}
+		fmt.Fprintln(stdout, "wrote", reportTo)
 	}
 	return 0
 }
 
-// writeReport renders the full markdown report (its study runs
-// uncheckpointed; see the flag guard in run).
-func writeReport(stdout, stderr io.Writer, opts loopscope.StudyOptions, exp, path string) int {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "campaign:", err)
-		return 1
-	}
-	ropts := report.Options{Campaign: opts}
-	if exp != "all" {
-		ropts.IDs = []string{exp}
-	}
-	if err := report.Write(f, ropts); err != nil {
-		f.Close()
-		fmt.Fprintln(stderr, "campaign:", err)
-		return 1
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(stderr, "campaign:", err)
-		return 1
-	}
-	fmt.Fprintln(stdout, "wrote", path)
-	return 0
-}
-
-// writeMetrics dumps the registry snapshot to path.
-func writeMetrics(path string, reg *obs.Registry) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := reg.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -261,24 +246,17 @@ func exportDataset(stdout io.Writer, dir string, st *loopscope.Study) error {
 	}
 	for _, f := range []struct {
 		name  string
-		write func(*os.File) error
+		write func(io.Writer) error
 	}{
-		{"runs.csv", func(f *os.File) error { return loopscope.ExportStudyCSV(st, f, nil, nil) }},
-		{"loops.csv", func(f *os.File) error { return loopscope.ExportStudyCSV(st, nil, f, nil) }},
-		{"locations.csv", func(f *os.File) error { return loopscope.ExportStudyCSV(st, nil, nil, f) }},
+		{"runs.csv", func(w io.Writer) error { return loopscope.ExportStudyCSV(st, w, nil, nil) }},
+		{"loops.csv", func(w io.Writer) error { return loopscope.ExportStudyCSV(st, nil, w, nil) }},
+		{"locations.csv", func(w io.Writer) error { return loopscope.ExportStudyCSV(st, nil, nil, w) }},
 	} {
-		file, err := os.Create(filepath.Join(dir, f.name))
-		if err != nil {
+		path := filepath.Join(dir, f.name)
+		if err := writeFile(path, f.write); err != nil {
 			return err
 		}
-		if err := f.write(file); err != nil {
-			file.Close()
-			return err
-		}
-		if err := file.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote", filepath.Join(dir, f.name))
+		fmt.Fprintln(stdout, "wrote", path)
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ import (
 // at this scale every location executes exactly one run.
 const MinRunScale = 1.0 / (1 << 20)
 
-// DefaultMaxRetries bounds how often a failed (panicked) run is
+// DefaultMaxRetries is how often a failed (panicked) run is
 // re-attempted with a perturbed seed before its failure record sticks.
 const DefaultMaxRetries = 1
 
@@ -60,25 +60,11 @@ type Options struct {
 	// real damaged captures are ingested. Each record carries its
 	// Salvage report.
 	FaultRates *faults.Rates
-	// MaxRetries bounds the retries of a failed run (default
-	// DefaultMaxRetries; negative disables retries).
-	MaxRetries int
 	// Workers bounds the one Sweep pool that the study's areas,
 	// DenseStudy and the experiment generators run their simulations
 	// on. 0 means one worker per CPU. Record order and content, dense
 	// points and generator output are identical at any worker count.
 	Workers int
-	// RunTimeout, when positive, bounds each run attempt's wall-clock
-	// time: an attempt that exceeds it aborts between events and
-	// produces a FailDeadline record (final — deadlines are not
-	// retried). Whether a given run hits the deadline depends on the
-	// machine, so studies that must stay byte-deterministic leave it
-	// zero.
-	RunTimeout time.Duration
-	// RetryBackoff, when positive, is the base delay slept before each
-	// panic retry, doubling per attempt (backoff, 2·backoff, ...). The
-	// sleep is context-aware: cancellation interrupts it.
-	RetryBackoff time.Duration
 	// Checkpoint, when non-empty, is the path of the durable run
 	// journal (see internal/checkpoint and docs/RESILIENCE.md): every
 	// completed run appends one checksummed entry keyed by its
@@ -119,11 +105,6 @@ func (o Options) withDefaults() Options {
 	if o.Device == nil {
 		o.Device = device.OnePlus12R()
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = DefaultMaxRetries
-	} else if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
 	return o
 }
 
@@ -150,8 +131,8 @@ type Record struct {
 	// is only set for panics.
 	Err   string
 	Stack string
-	// FailKind classifies the failure carried by Err (panic, deadline
-	// or cancellation); FailNone for successful runs.
+	// FailKind classifies the failure carried by Err (panic or
+	// cancellation); FailNone for successful runs.
 	FailKind FailureKind
 	// Attempts is how many executions this record took (1 for a clean
 	// first run; retries increment it).
@@ -159,9 +140,9 @@ type Record struct {
 }
 
 // FailureKind is the closed taxonomy of run failures. Only panics are
-// retried; a deadline is a final outcome (the run is deterministic, so
-// retrying would burn the same wall-clock again), and a cancelled run
-// belongs to a study that is shutting down.
+// retried; a cancelled run belongs to a study that is shutting down.
+// The values are the record wire encoding (fail_kind), so they never
+// move.
 type FailureKind uint8
 
 const (
@@ -169,10 +150,8 @@ const (
 	FailNone FailureKind = iota
 	// FailPanic marks a run that panicked; Stack holds the trace.
 	FailPanic
-	// FailDeadline marks a run that exceeded Options.RunTimeout while
-	// the study itself was still live; a deadline inherited from the
-	// study context is classified FailCancelled instead.
-	FailDeadline
+	// 2 is reserved so that FailCancelled keeps its wire value.
+	_
 	// FailCancelled marks a run aborted by study cancellation; such
 	// records are never checkpointed or delivered to sinks, so a
 	// resumed study re-executes them.
@@ -186,8 +165,6 @@ func (k FailureKind) String() string {
 		return "none"
 	case FailPanic:
 		return "panic"
-	case FailDeadline:
-		return "deadline"
 	case FailCancelled:
 		return "cancelled"
 	default:
@@ -291,13 +268,11 @@ func Run(opts Options) *Study {
 // ExecuteRun performs a single run under ctx and post-processes it
 // through the full analysis pipeline. A run that panics does not tear
 // down the study: the panic is captured into a failure Record (with
-// error and stack), and the run is retried — after a context-aware
-// backoff — up to Options.MaxRetries times with a perturbed seed
-// before the failure sticks. Deadline and cancellation failures are
-// final and never retried; cancellation during a retry backoff also
-// yields a cancelled record (not the interim panic), because an
-// uninterrupted study would have retried and the panic must not be
-// checkpointed as final.
+// error and stack), and the run is retried up to DefaultMaxRetries
+// times with a perturbed seed before the failure sticks. Cancellation
+// is final and never retried; a retry under a cancelled study aborts
+// before its first event, so the record is cancelled rather than the
+// interim panic, which must not be checkpointed as final.
 func ExecuteRun(ctx context.Context, op *policy.Operator, dep *deploy.Deployment,
 	cl *deploy.Cluster, locIdx, runIdx int, opts Options) *Record {
 	opts = opts.withDefaults()
@@ -305,24 +280,7 @@ func ExecuteRun(ctx context.Context, op *policy.Operator, dep *deploy.Deployment
 		ctx = context.Background()
 	}
 	rec := runOnce(ctx, op, dep, cl, locIdx, runIdx, 0, opts)
-	for attempt := 1; rec.FailKind == FailPanic && attempt <= opts.MaxRetries; attempt++ {
-		if !sleepBackoff(ctx, opts.RetryBackoff, attempt) {
-			// Cancelled while backing off. The interim panic record must
-			// not stand: it would be checkpointed as a final failure,
-			// while an uninterrupted study would have retried (possibly
-			// succeeding) — resume(k) would diverge from the baseline.
-			// Demote it to a cancelled record, which the engine neither
-			// checkpoints nor delivers, so the resumed study re-runs it
-			// with the full retry budget.
-			cause := context.Cause(ctx)
-			if cause == nil {
-				cause = context.Canceled
-			}
-			rec.Err = cause.Error()
-			rec.Stack = ""
-			rec.FailKind = FailCancelled
-			break
-		}
+	for attempt := 1; rec.FailKind == FailPanic && attempt <= DefaultMaxRetries; attempt++ {
 		retry := runOnce(ctx, op, dep, cl, locIdx, runIdx, attempt, opts)
 		retry.Attempts = attempt + 1
 		rec = retry
@@ -341,7 +299,7 @@ func ExecuteRun(ctx context.Context, op *policy.Operator, dep *deploy.Deployment
 		}
 		switch rec.FailKind {
 		case FailNone:
-		case FailPanic, FailDeadline, FailCancelled:
+		case FailPanic, FailCancelled:
 			c.Add("campaign.failures."+rec.FailKind.String(), 1)
 			c.Add("campaign.failures."+rec.FailKind.String()+label, 1)
 		}
@@ -351,25 +309,6 @@ func ExecuteRun(ctx context.Context, op *policy.Operator, dep *deploy.Deployment
 		}
 	}
 	return rec
-}
-
-// sleepBackoff waits out the retry backoff for the given attempt
-// (base·2^(attempt-1)), returning false if ctx was cancelled first.
-//
-//loopvet:detsafe retry pacing only: the timer decides when a failed run is retried, never what it produces — record bytes and delivery order stay seed-determined, and the crash-resume byte-identity tests gate that
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	if base <= 0 {
-		return true
-	}
-	d := base << (attempt - 1)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // metricLabel renders the per-operator/area counter suffix, e.g.
@@ -391,8 +330,8 @@ func startStage(c obs.Collector, s obs.Stage) func() {
 var testHookPanic func(area string, locIdx, runIdx, attempt int) bool
 
 // runOnce executes one attempt of a run under panic isolation and the
-// study context. A context abort (cancellation or per-run deadline)
-// surfaces as a typed failure record, not a panic.
+// study context. A context abort surfaces as a FailCancelled record,
+// not a panic.
 func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, cl *deploy.Cluster,
 	locIdx, runIdx, attempt int, opts Options) (rec *Record) {
 	rec = &Record{
@@ -419,12 +358,6 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 	}()
 	if testHookPanic != nil && testHookPanic(dep.Area.ID, locIdx, runIdx, attempt) {
 		panic("injected test failure")
-	}
-	parent := ctx
-	if opts.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.RunTimeout)
-		defer cancel()
 	}
 	// Retries perturb the seed so a deterministic crash input is not
 	// replayed verbatim.
@@ -500,7 +433,7 @@ func runOnce(ctx context.Context, op *policy.Operator, dep *deploy.Deployment, c
 	}
 	if abort != nil {
 		rec.Err = abort.Error()
-		rec.FailKind = failKindFor(abort, parent, opts.RunTimeout > 0)
+		rec.FailKind = FailCancelled
 		rec.clearOutputs()
 		return rec
 	}
@@ -560,20 +493,6 @@ func normalizeSalvage(sal *sig.Salvage) *sig.Salvage {
 	return sal
 }
 
-// failKindFor maps a context abort error to its failure kind. A
-// DeadlineExceeded is FailDeadline only when it came from the per-run
-// timeout: parent is the study context as runOnce received it (before
-// the RunTimeout wrap), and if parent is itself done the whole study
-// is shutting down — e.g. RunStudyContext under context.WithTimeout —
-// so the run is FailCancelled and a resumed study re-executes it
-// instead of replaying a bogus permanent failure.
-func failKindFor(err error, parent context.Context, perRunTimeout bool) FailureKind {
-	if perRunTimeout && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		return FailDeadline
-	}
-	return FailCancelled
-}
-
 // deployHash distinguishes run seeds across areas.
 func deployHash(id string) int {
 	h := 0
@@ -613,18 +532,6 @@ func (s *Study) Failures() int {
 		n += a.Failures()
 	}
 	return n
-}
-
-// FailedRecords returns every failure record for inspection (error and
-// stack preserved).
-func (s *Study) FailedRecords() []*Record {
-	var out []*Record
-	for _, r := range s.Records("") {
-		if r.Failed() {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // FormCounts tallies sequence forms for an operator (Fig. 6). Failed

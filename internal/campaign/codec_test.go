@@ -97,9 +97,9 @@ func TestCodecSyntheticEdgeCases(t *testing.T) {
 			Err: "injected test failure", Stack: "goroutine 1 [running]:\n...",
 			FailKind: FailPanic, Attempts: 2,
 		},
-		{ // deadline record
-			Op: "OPA", Area: "A5", Err: "context deadline exceeded",
-			FailKind: FailDeadline, Attempts: 1,
+		{ // cancelled record
+			Op: "OPA", Area: "A5", Err: "context canceled",
+			FailKind: FailCancelled, Attempts: 1,
 		},
 		{ // loop + empty-non-nil Subtypes + aliased timeline + salvage
 			Op: "OPT", Area: "A1", Timeline: tl,

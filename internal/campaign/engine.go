@@ -23,7 +23,8 @@ const metaKey = "meta/options"
 
 // optsFingerprint pins the output-affecting options into the journal
 // header, so a journal can never be resumed under options that would
-// produce different records.
+// produce different records. MaxRetries is the DefaultMaxRetries
+// constant; it stays in the header so existing journals still match.
 type optsFingerprint struct {
 	Seed       int64         `json:"seed"`
 	Duration   time.Duration `json:"duration"`
@@ -44,7 +45,7 @@ func fingerprint(opts Options) optsFingerprint {
 		Device:     opts.Device.Name,
 		KeepSpeeds: opts.KeepSpeeds,
 		Faults:     opts.FaultRates,
-		MaxRetries: opts.MaxRetries,
+		MaxRetries: DefaultMaxRetries,
 	}
 }
 
@@ -347,7 +348,7 @@ func runStudy(ctx context.Context, opts Options, specs []deploy.AreaSpec,
 }
 
 // RunContext executes the full study under ctx, honouring the
-// checkpoint, sink, timeout and crash-point options. On cancellation
+// checkpoint, sink and crash-point options. On cancellation
 // it drains gracefully — in-flight runs abort between events, finished
 // work stays checkpointed — and returns the partial study together
 // with the cancellation cause. A checkpoint journal that already holds

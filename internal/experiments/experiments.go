@@ -187,6 +187,21 @@ func ByID(id string) (Generator, bool) {
 	return Generator{}, false
 }
 
+// Select returns the generators named by ids, in that order (nil: all,
+// in presentation order). Unknown IDs are skipped.
+func Select(ids []string) []Generator {
+	if ids == nil {
+		return All()
+	}
+	var out []Generator
+	for _, id := range ids {
+		if g, ok := ByID(id); ok {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
 // pct formats a ratio as a percentage string.
 func pct(v float64) string { return fmt.Sprintf("%5.1f%%", 100*v) }
 

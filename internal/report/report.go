@@ -1,6 +1,8 @@
-// Package report renders a complete measurement-study report as
-// markdown: every regenerated table and figure with its output lines,
-// plus a summary header with the study's scale and headline metrics.
+// Package report renders a measurement study as a markdown report:
+// a summary header with the study's scale and headline loop counts,
+// then every selected table and figure with its output lines and key
+// metrics. It renders a study that is already built, so the report
+// shares one dataset with whatever else the caller derives from it.
 // cmd/campaign -report writes it to disk; it is the machine-generated
 // counterpart of the repository's hand-written EXPERIMENTS.md.
 package report
@@ -16,41 +18,17 @@ import (
 	"github.com/mssn/loopscope/internal/experiments"
 )
 
-// Options configures report generation.
-type Options struct {
-	// Study options forwarded to the experiment context.
-	Campaign campaign.Options
-	// IDs restricts the experiments to include (nil = all).
-	IDs []string
-	// Title overrides the default document title.
-	Title string
-}
-
-// Write renders the full report to w.
-func Write(w io.Writer, opts Options) error {
-	ctx := experiments.NewContext(opts.Campaign)
-	title := opts.Title
-	if title == "" {
-		title = "5G ON-OFF loop study — generated report"
-	}
-	if _, err := fmt.Fprintf(w, "# %s\n\n", title); err != nil {
+// Write renders the report on st to w, with the experiments named by
+// ids (nil: all, in presentation order; unknown IDs are skipped).
+func Write(w io.Writer, st *campaign.Study, ids []string) error {
+	if _, err := fmt.Fprint(w, "# 5G ON-OFF loop study — generated report\n\n"); err != nil {
 		return err
 	}
-	if err := writeSummary(w, ctx); err != nil {
+	if err := writeSummary(w, st); err != nil {
 		return err
 	}
-
-	gens := experiments.All()
-	if opts.IDs != nil {
-		var filtered []experiments.Generator
-		for _, id := range opts.IDs {
-			if g, ok := experiments.ByID(id); ok {
-				filtered = append(filtered, g)
-			}
-		}
-		gens = filtered
-	}
-	for _, g := range gens {
+	ctx := experiments.NewContextWithStudy(st)
+	for _, g := range experiments.Select(ids) {
 		res := g.Run(ctx)
 		if _, err := fmt.Fprintf(w, "## %s — %s\n\n```\n", res.ID, res.Title); err != nil {
 			return err
@@ -86,8 +64,7 @@ func Write(w io.Writer, opts Options) error {
 }
 
 // writeSummary prints the study-scale header.
-func writeSummary(w io.Writer, ctx *experiments.Context) error {
-	st := ctx.Study()
+func writeSummary(w io.Writer, st *campaign.Study) error {
 	var runs, loops int
 	forms := map[core.Form]int{}
 	for _, rec := range st.Records("") {

@@ -306,11 +306,11 @@ type (
 func NewJSONLStudySink(w io.Writer) StudySink { return campaign.NewJSONLSink(w) }
 
 // RunStudyContext executes the full measurement study across all
-// areas under a context, honouring the checkpoint, sink and per-run
-// timeout options. On cancellation it drains gracefully — in-flight
-// runs abort, finished work stays checkpointed — and returns the
-// partial study with the cause. A checkpoint journal that already
-// holds runs is refused; ResumeStudy continues it.
+// areas under a context, honouring the checkpoint and sink options.
+// On cancellation it drains gracefully — in-flight runs abort,
+// finished work stays checkpointed — and returns the partial study
+// with the cause. A checkpoint journal that already holds runs is
+// refused; ResumeStudy continues it.
 func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 	return campaign.RunContext(ctx, opts)
 }
@@ -392,15 +392,7 @@ func ExperimentsWithStudy(ids []string, st *Study) []ExperimentResult {
 // runExperiments runs the generators selected by ids (nil: all, in
 // presentation order) against ctx.
 func runExperiments(ids []string, ctx *experiments.Context) []ExperimentResult {
-	var gens []experiments.Generator
-	if ids == nil {
-		gens = experiments.All()
-	}
-	for _, id := range ids {
-		if g, ok := experiments.ByID(id); ok {
-			gens = append(gens, g)
-		}
-	}
+	gens := experiments.Select(ids)
 	out := make([]ExperimentResult, 0, len(gens))
 	for _, g := range gens {
 		res := g.Run(ctx)
